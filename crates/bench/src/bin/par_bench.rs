@@ -49,8 +49,8 @@ use std::time::Instant;
 const PROCESSES: usize = 128;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Medians shave scheduler noise without monitor_bench's best-of-n
-/// optimism; the sweep interleaves rounds so drift spreads evenly.
+/// Medians shave scheduler noise without a best-of-n's optimism;
+/// the sweep interleaves rounds so drift spreads evenly.
 fn median_secs(rounds: usize, mut f: impl FnMut() -> f64) -> f64 {
     let mut samples: Vec<f64> = (0..rounds).map(|_| f()).collect();
     samples.sort_by(f64::total_cmp);

@@ -1,6 +1,6 @@
 //! One JSON schema for every `BENCH_*.json` artifact.
 //!
-//! `monitor_bench`, `pattern_bench`, and `slice_bench` all emit the
+//! `pattern_bench`, `slice_bench`, and `dist_bench` all emit the
 //! same record shape through this module, so CI artifact diffing (and
 //! any future dashboard) parses one format:
 //!

@@ -53,7 +53,7 @@
 //! that never hold (`x = -1` on every process) — the detector does full
 //! work on every event and settles only at close. Reported: session and
 //! event throughput plus open→closed latency percentiles, as text or
-//! JSON (the shape `store_bench` uses, for CI artifact diffing).
+//! JSON (for CI artifact diffing).
 //!
 //! Sessions are driven through hb-sdk (`SessionBuilder`, `emit`,
 //! `close_reclaim`), so loadgen exercises the exact client stack a real

@@ -308,6 +308,14 @@ impl DistWorker {
         out
     }
 
+    /// Restarts the [`DistWorker::take_slice_stats`] watermark at zero,
+    /// as after a restore: the next call reports lifetime totals.
+    pub fn rewind_slice_stats(&mut self) {
+        for pred in &mut self.preds {
+            pred.reported = (0, 0);
+        }
+    }
+
     /// Freezes the worker for persistence.
     pub fn snapshot(&self) -> WorkerSnapshot {
         WorkerSnapshot {

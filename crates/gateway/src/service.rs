@@ -272,34 +272,19 @@ impl GatewayService {
         aggregate_stats(&self.inner)
     }
 
-    /// Serves the wire protocol until a client sends `shutdown`.
-    /// Mirrors `hb_monitor::service::serve`: one reader thread per
-    /// connection, one writer thread draining its sink.
+    /// Serves the wire protocol until a client sends `shutdown`, on
+    /// the accept loop `hb_monitor::service::serve` also runs: one
+    /// reader thread per connection, one writer thread draining its
+    /// sink.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
-        let addr = listener.local_addr()?;
-        let mut conn_threads = Vec::new();
-        for stream in listener.incoming() {
-            if self.inner.stop.load(Relaxed) {
-                break;
+        let inner = Arc::clone(&self.inner);
+        dial::accept_loop(listener, move |stream| {
+            let shutdown_requested = serve_connection(stream, &inner);
+            if shutdown_requested {
+                inner.stop.store(true, Relaxed);
             }
-            let stream = stream?;
-            // Small request/reply frames; Nagle would stall each
-            // exchange on a delayed-ACK round trip.
-            let _ = stream.set_nodelay(true);
-            let inner = Arc::clone(&self.inner);
-            conn_threads.push(std::thread::spawn(move || {
-                let shutdown_requested = serve_connection(stream, &inner);
-                if shutdown_requested {
-                    inner.stop.store(true, Relaxed);
-                    // Unblock the accept loop.
-                    let _ = TcpStream::connect(addr);
-                }
-            }));
-        }
-        for t in conn_threads {
-            let _ = t.join();
-        }
-        Ok(())
+            shutdown_requested
+        })
     }
 
     /// Stops the keeper and tears down every backend connection.
@@ -1466,6 +1451,11 @@ fn open_distributed(inner: &Arc<Inner>, sink: &Sender<ServerMsg>, msg: ClientMsg
 /// The gateway's frame handler — the routing counterpart of
 /// `MonitorHandle::submit`.
 fn handle_client_msg(inner: &Arc<Inner>, msg: ClientMsg, sink: &Sender<ServerMsg>) {
+    if let Some(refusal) = wire::refusal(inner.config.wire_version, "gateway", &msg) {
+        inner.metrics.protocol_errors.fetch_add(1, Relaxed);
+        let _ = sink.send(refusal);
+        return;
+    }
     match msg {
         ClientMsg::Hello { version } => {
             match wire::negotiate_version(version, inner.config.wire_version) {
@@ -1496,18 +1486,6 @@ fn handle_client_msg(inner: &Arc<Inner>, msg: ClientMsg, sink: &Sender<ServerMsg
         } => {
             let name = session.clone();
             match dist.clone() {
-                Some(_) if inner.config.wire_version < 5 => {
-                    client_error(
-                        inner,
-                        sink,
-                        Some(name),
-                        Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION),
-                        format!(
-                            "distributed sessions need wire v5; this gateway speaks v{}",
-                            inner.config.wire_version
-                        ),
-                    );
-                }
                 // Worker and aggregator roles are what the gateway
                 // *assigns*; accepting one from a client would let it
                 // impersonate part of another session's topology.
@@ -1569,18 +1547,6 @@ fn handle_client_msg(inner: &Arc<Inner>, msg: ClientMsg, sink: &Sender<ServerMsg
                 "dist-event/slice-update frames are inter-monitor; \
                  open a distributed session instead"
                     .into(),
-            );
-        }
-        // A pre-v3 gateway would fail to decode an `events` frame;
-        // emulate its answer so compatibility tests stay honest. (The
-        // SDK never triggers this — it falls back after the handshake.)
-        ClientMsg::Events { .. } if inner.config.wire_version < 3 => {
-            client_error(
-                inner,
-                sink,
-                None,
-                None,
-                "unknown client message 'events'".into(),
             );
         }
         // A batch journals and relays as ONE frame — it re-chunks

@@ -34,6 +34,7 @@
 /// single-backend hold/duplicate/overflow behavior; this alias keeps
 /// the monitor-side paths working.
 pub use hb_dist::buffer;
+mod member;
 pub mod metrics;
 pub mod persist;
 pub mod service;

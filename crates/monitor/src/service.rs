@@ -3,22 +3,31 @@
 //! # Architecture
 //!
 //! ```text
-//!  TCP conns ──┐                       ┌── shard worker 0 ── sessions…
-//!  in-process ─┴─ MonitorHandle ──────►├── shard worker 1 ── sessions…
-//!   clients        (route by           └── shard worker k ── sessions…
-//!                   hash(session))            │
-//!                      │   ▲                  └─ verdicts → client sink
-//!                      ▼   └── Arc<Metrics> ◄─┘
+//!  TCP conns ──┐                       ┌── shard worker 0 ── members…
+//!  in-process ─┴─ MonitorHandle ──────►├── shard worker 1 ── members…
+//!   clients        gate → WAL → route  └── shard worker k ── members…
+//!                      │   ▲                  │ apply → commit → forward
+//!                      ▼   └── Arc<Metrics> ◄─┘        └─► client sink
 //!                  hb-store WAL
 //!                  (when --data-dir is set)
 //! ```
 //!
-//! Sessions are sharded across a fixed pool of worker threads by a hash
-//! of the session name, so one session's events are always handled by
-//! one thread (per-session order preserved, no locks on the hot path)
-//! while independent sessions proceed in parallel. Each client supplies
-//! a **sink** channel at open time; verdicts, errors, and close
-//! notifications flow back through it asynchronously.
+//! Every client message takes one path. [`MonitorHandle::submit`] is
+//! three stages: the **gate** answers what needs no session (`stats`,
+//! `hello`, frames the emulated wire version lacks), the **WAL** stage
+//! logs the message, and **route** hands it to the shard that owns the
+//! session name. The shard — one thread, one map of `Member`s —
+//! looks the member up, **applies** the message, **commits** what that
+//! did to the gauges, and **forwards** the reply frames to the member's
+//! sink. A plain session, a distributed session's worker partition and
+//! its aggregator are all members; only `Member` knows which is which.
+//!
+//! Sessions are sharded by a hash of the session name, so one session's
+//! events are always handled by one thread (per-session order
+//! preserved, no locks on the hot path) while independent sessions
+//! proceed in parallel. Each client supplies a **sink** channel at open
+//! time; verdicts, errors, and close notifications flow back through it
+//! asynchronously.
 //!
 //! # Durability
 //!
@@ -26,14 +35,15 @@
 //! appended to an [`hb_store`] write-ahead log *before* it is routed to
 //! a shard — the WAL is the input tape, and replaying it reproduces the
 //! service state. Periodic snapshots (every `snapshot_every` records)
-//! freeze all sessions at a known WAL position so recovery replays only
+//! freeze all members at a known WAL position so recovery replays only
 //! the tail; covered segments are compacted away. Opening a service on
 //! an existing data directory *is* crash recovery: the newest valid
-//! snapshot is restored, the tail replayed, and the rebuilt sessions
-//! handed to the shard workers before any new input is accepted.
-//! Recovered sessions keep running detectors; the first client message
-//! that touches one re-attaches its reply sink and re-reports any
-//! verdict that settled before the crash.
+//! snapshot is restored and the tail is fed through the very function
+//! the live shard loop runs, with a dead sink — so a recovered member
+//! is what the live one was, by construction. Members rebuilt this way
+//! keep running detectors; the first client message that touches one
+//! re-attaches its reply sink and re-reports any verdict that settled
+//! before the crash.
 //!
 //! Transports are thin: the in-process [`MonitorHandle`] is the service
 //! API, and [`serve`] adapts it to TCP — one reader thread per
@@ -42,28 +52,22 @@
 //! flushes every session — stranded held events are discarded, final
 //! verdicts are emitted — before the workers exit.
 
-use crate::buffer::IngestError;
+use crate::member::{error_frame, Member, Out, GATEWAY_ONLY};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::persist::{
-    AggregatorSlotSnapshot, PersistConfig, ServiceSnapshot, SessionSnapshot, WorkerSlotSnapshot,
-};
-use crate::session::{Session, SessionError, SessionLimits, VerdictEvent};
+use crate::persist::{PersistConfig, ServiceSnapshot};
+use crate::session::SessionLimits;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hb_detect::online::OnlineVerdict;
-use hb_dist::{AggStep, DistAggregator, DistError, DistWorker};
 use hb_store::{Store, StoreError, StoreOptions};
-use hb_tracefmt::wire::{
-    self, ClientMsg, ServerMsg, SliceUpdateBody, WireDistRole, WireMode, WirePredicate, WireVerdict,
-};
-use hb_vclock::VectorClock;
+use hb_tracefmt::dial;
+use hb_tracefmt::wire::{self, ClientMsg, ServerMsg, WireDistRole};
 use parking_lot::Mutex;
 use serde::{Deserialize as _, Serialize as _};
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
@@ -82,9 +86,9 @@ pub struct MonitorConfig {
     pub persist: Option<PersistConfig>,
     /// The highest protocol version this service speaks — normally
     /// [`wire::WIRE_VERSION`]. Lowering it makes the service behave
-    /// like an older build (refusing newer `hello`s and, below 3, the
-    /// batched `events` frame); compatibility tests use this to pit a
-    /// current SDK against yesterday's server.
+    /// like an older build (refusing newer `hello`s and whatever
+    /// [`wire::refusal`] says that version lacked); compatibility tests
+    /// use this to pit a current SDK against yesterday's server.
     pub wire_version: u32,
 }
 
@@ -102,66 +106,18 @@ impl Default for MonitorConfig {
 
 /// A command routed to a shard worker.
 enum Cmd {
-    Open {
-        session: String,
-        processes: usize,
-        vars: Vec<String>,
-        initial: Vec<BTreeMap<String, i64>>,
-        predicates: Vec<WirePredicate>,
-        /// `Some` opens a distributed-session member (worker partition
-        /// or aggregator) instead of a plain session.
-        dist: Option<WireDistRole>,
+    /// A client message for one of the shard's members, and the sink
+    /// its replies go to.
+    Msg {
+        msg: ClientMsg,
         sink: Sender<ServerMsg>,
     },
-    /// A gateway-routed event for a worker partition (wire v5). The
-    /// worker answers with `ServerMsg::SliceUpdate` frames the gateway
-    /// relays to the session's aggregator.
-    DistEvent {
-        session: String,
-        seq: u64,
-        event: wire::EventFrame,
-        sink: Sender<ServerMsg>,
-    },
-    /// A sequenced slice update for an aggregator (wire v5): a relayed
-    /// worker observation, or the gateway-originated finish/close.
-    SliceUpdate {
-        session: String,
-        seq: u64,
-        update: SliceUpdateBody,
-        sink: Sender<ServerMsg>,
-    },
-    Event {
-        session: String,
-        p: usize,
-        clock: Vec<u32>,
-        set: BTreeMap<String, i64>,
-        /// Errors go here when the session itself is unknown.
-        sink: Sender<ServerMsg>,
-    },
-    /// A wire-v3 batch: WAL-appended atomically by the handle, then
-    /// delivered here as one command whose members feed the causal
-    /// buffer one at a time — verdicts are identical to the unbatched
-    /// stream by construction.
-    EventBatch {
-        session: String,
-        events: Vec<wire::EventFrame>,
-        sink: Sender<ServerMsg>,
-    },
-    Finish {
-        session: String,
-        p: usize,
-        sink: Sender<ServerMsg>,
-    },
-    Close {
-        session: String,
-        sink: Sender<ServerMsg>,
-    },
-    /// Freeze every session on this shard and reply with the batch.
+    /// Freeze every member on this shard and reply with the batch.
     /// The sender holds the WAL lock while waiting, so everything the
     /// shard saw before this command is — by construction — at a lower
     /// WAL position than the snapshot will claim.
-    Snapshot { reply: Sender<ShardFreeze> },
-    /// Close every remaining session and stop the worker (graceful
+    Snapshot { reply: Sender<ServiceSnapshot> },
+    /// Close every remaining member and stop the worker (graceful
     /// shutdown). Handles may outlive the service, so workers cannot
     /// rely on channel disconnection to learn about shutdown.
     Flush,
@@ -212,162 +168,275 @@ fn unix_now_secs() -> u64 {
 }
 
 /// A sink whose receiver is already gone: sends are silently dropped.
-/// Recovered sessions start with one until a client re-attaches.
+/// WAL replay answers into one, and recovered members keep it until a
+/// client re-attaches.
 fn dead_sink() -> Sender<ServerMsg> {
     unbounded().0
 }
 
-/// The sessions a recovery rebuilds before the shard workers start:
-/// plain sessions plus distributed-session members.
-#[derive(Default)]
-struct Recovered {
-    sessions: HashMap<String, Session>,
-    /// Worker partitions by decorated name, with their origin session.
-    workers: HashMap<String, (String, DistWorker)>,
-    /// Aggregators by origin session name.
-    aggregators: HashMap<String, DistAggregator>,
+/// One member plus the sink registered at its open (or re-attached
+/// after recovery).
+struct Slot {
+    member: Member,
+    sink: Sender<ServerMsg>,
+    /// False for a member rebuilt by crash recovery that no client has
+    /// spoken to yet: its sink is dead, and settled verdicts have not
+    /// been shown to the post-restart client.
+    attached: bool,
 }
 
-/// One recovered slot handed to a shard worker as initial state.
-enum SeedSlot {
-    Local(Session),
-    Worker {
-        name: String,
-        origin: String,
-        engine: DistWorker,
-    },
-    Aggregator {
-        name: String,
-        engine: DistAggregator,
-    },
-}
-
-/// One shard's frozen state, collected by the snapshot barrier.
-#[derive(Default)]
-struct ShardFreeze {
-    sessions: Vec<SessionSnapshot>,
-    workers: Vec<WorkerSlotSnapshot>,
-    aggregators: Vec<AggregatorSlotSnapshot>,
-}
-
-/// Re-applies one replayed WAL record to the recovering session maps.
-/// Errors are ignored: they were reported to the original client when
-/// the record was first acknowledged, and replay must be idempotent
-/// over them.
-fn apply_replayed(msg: ClientMsg, state: &mut Recovered, limits: SessionLimits) {
-    match msg {
-        ClientMsg::Open {
-            session,
-            processes,
-            vars,
-            initial,
-            predicates,
-            dist,
-        } => match dist {
-            None => {
-                if let Entry::Vacant(slot) = state.sessions.entry(session) {
-                    if let Ok(mut s) =
-                        Session::open(slot.key(), processes, &vars, &initial, &predicates, limits)
-                    {
-                        let _ = s.take_initial_verdicts();
-                        slot.insert(s);
-                    }
-                }
-            }
-            Some(WireDistRole::Worker { origin, worker, k }) => {
-                if let Entry::Vacant(slot) = state.workers.entry(session) {
-                    if let Ok(w) =
-                        DistWorker::open(worker, k, processes, &vars, &initial, &predicates)
-                    {
-                        slot.insert((origin, w));
-                    }
-                }
-            }
-            Some(WireDistRole::Aggregator { k }) => {
-                if let Entry::Vacant(slot) = state.aggregators.entry(session) {
-                    if let Ok(mut a) = DistAggregator::open(
-                        k,
-                        processes,
-                        &vars,
-                        &initial,
-                        &predicates,
-                        limits.buffer_capacity,
-                        limits.policy,
-                    ) {
-                        let _ = a.take_initial_verdicts();
-                        slot.insert(a);
-                    }
-                }
-            }
-            // Refused at the handle, never written to the WAL.
-            Some(WireDistRole::Distribute { .. }) => {}
-        },
-        ClientMsg::Event {
-            session,
-            p,
-            clock,
-            set,
-        } => {
-            if let Some(s) = state.sessions.get_mut(&session) {
-                let _ = s.event(p, VectorClock::from_components(clock), &set);
-            }
+impl Slot {
+    /// First client contact with a recovered member: adopt the client's
+    /// sink and re-report everything that settled before the crash (the
+    /// client that originally received those verdicts is gone).
+    fn attach(&mut self, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
+        if self.attached {
+            return;
         }
-        ClientMsg::Events { session, events } => {
-            if let Some(s) = state.sessions.get_mut(&session) {
-                for e in events {
-                    let _ = s.event(e.p, VectorClock::from_components(e.clock), &e.set);
-                }
-            }
+        self.sink = sink.clone();
+        self.attached = true;
+        metrics.sessions_reattached.fetch_add(1, Relaxed);
+        for frame in self.member.settled(name) {
+            let _ = self.sink.send(frame);
         }
-        ClientMsg::FinishProcess { session, p } => {
-            if let Some(s) = state.sessions.get_mut(&session) {
-                let _ = s.finish_process(p);
-            }
-        }
-        ClientMsg::Close { session } => {
-            state.sessions.remove(&session);
-            state.workers.remove(&session);
-            state.aggregators.remove(&session);
-        }
-        ClientMsg::DistEvent {
-            session,
-            seq,
-            event,
-        } => {
-            if let Some((_, w)) = state.workers.get_mut(&session) {
-                let _ = w.observe(
-                    seq,
-                    event.p,
-                    VectorClock::from_components(event.clock),
-                    &event.set,
-                );
-            }
-        }
-        ClientMsg::SliceUpdate {
-            session,
-            seq,
-            update,
-        } => {
-            let closed = match state.aggregators.get_mut(&session) {
-                Some(a) => a
-                    .update(seq, update)
-                    .iter()
-                    .any(|s| matches!(s, AggStep::Closed { .. })),
-                None => false,
-            };
-            if closed {
-                state.aggregators.remove(&session);
-            }
-        }
-        // Answered inline by `submit`, never written to the WAL.
-        ClientMsg::Stats
-        | ClientMsg::Shutdown
-        | ClientMsg::Hello { .. }
-        | ClientMsg::Drain { .. } => {}
     }
 }
 
-/// Runs the snapshot barrier: asks every shard for its frozen sessions,
+/// The commit stage: what one message did to a member's causal buffer,
+/// as deltas on the service gauges.
+fn commit(metrics: &Metrics, before: (u64, u64), after: (u64, u64)) {
+    let ((held, delivered), (held_now, delivered_now)) = (before, after);
+    metrics
+        .events_delivered
+        .fetch_add(delivered_now - delivered, Relaxed);
+    if held_now > held {
+        metrics.held_add(held_now - held);
+    } else {
+        metrics.held_sub(held - held_now);
+    }
+}
+
+fn forward(frames: &mut Vec<ServerMsg>, sink: &Sender<ServerMsg>) {
+    for frame in frames.drain(..) {
+        let _ = sink.send(frame);
+    }
+}
+
+/// Everything one shard worker owns: its members by session name. The
+/// live loop and WAL replay drive it through the same
+/// [`Shard::handle`], which is what makes a recovered member equal the
+/// live one.
+struct Shard {
+    members: HashMap<String, Slot>,
+    limits: SessionLimits,
+    /// Reply frames of the message in flight; kept so the hot path
+    /// allocates nothing for them.
+    outbox: Vec<ServerMsg>,
+}
+
+impl Shard {
+    fn new(limits: SessionLimits) -> Shard {
+        Shard {
+            members: HashMap::new(),
+            limits,
+            outbox: Vec::new(),
+        }
+    }
+
+    /// Takes one client message through the shard: look the member up,
+    /// attach the caller's sink if the member is a recovered one, apply,
+    /// commit the gauges, forward the replies. Replies to a message that
+    /// reaches no member (unknown session, wrong kind of frame, refused
+    /// open) go to the caller's `sink`.
+    fn handle(&mut self, msg: ClientMsg, sink: &Sender<ServerMsg>, metrics: &Metrics) {
+        let mut out = Out {
+            metrics,
+            frames: &mut self.outbox,
+        };
+        let msg = match msg {
+            ClientMsg::Open {
+                session,
+                processes,
+                vars,
+                initial,
+                predicates,
+                dist,
+            } => {
+                if self.members.contains_key(&session) {
+                    out.error(
+                        Some(&session),
+                        Some(wire::error_kind::ALREADY_OPEN),
+                        format!("session '{session}' already open"),
+                    );
+                    return forward(out.frames, sink);
+                }
+                match Member::open(
+                    &session,
+                    dist,
+                    processes,
+                    &vars,
+                    &initial,
+                    &predicates,
+                    self.limits,
+                ) {
+                    Ok(mut member) => {
+                        member.census(metrics, true);
+                        out.frames.push(ServerMsg::Opened {
+                            session: session.clone(),
+                        });
+                        out.settle(&session, member.take_initial_verdicts());
+                        let slot = Slot {
+                            member,
+                            sink: sink.clone(),
+                            attached: true,
+                        };
+                        self.members.insert(session, slot);
+                    }
+                    Err(e) => out.failed(&session, &e),
+                }
+                return forward(out.frames, sink);
+            }
+            other => other,
+        };
+        // `submit` and replay route only messages that name a session.
+        let Some(name) = msg.session() else { return };
+        let Some(slot) = self.members.get_mut(name) else {
+            out.error(Some(name), None, format!("no such session '{name}'"));
+            return forward(out.frames, sink);
+        };
+        if let Some(why) = slot.member.refuses(&msg) {
+            out.error(Some(name), None, format!("session '{name}' {why}"));
+            return forward(out.frames, sink);
+        }
+        slot.attach(name, sink, metrics);
+        let before = slot.member.load();
+        let closed = slot.member.apply(msg, &mut out);
+        commit(metrics, before, slot.member.load());
+        if closed.is_some() {
+            slot.member.census(metrics, false);
+        }
+        forward(out.frames, &slot.sink);
+        if let Some(name) = closed {
+            self.members.remove(&name);
+        }
+    }
+
+    /// Freezes every member for a snapshot.
+    fn freeze(&mut self, metrics: &Metrics) -> ServiceSnapshot {
+        let mut snap = ServiceSnapshot::default();
+        for (name, slot) in &mut self.members {
+            slot.member.freeze(name, metrics, &mut snap);
+        }
+        snap
+    }
+
+    /// Hands a recovered shard to the running service: every member
+    /// starts detached — its sink died with the old process — and is
+    /// counted into the new process's metrics. Returns how many.
+    fn adopt(&mut self, metrics: &Metrics) -> u64 {
+        for slot in self.members.values_mut() {
+            slot.attached = false;
+            slot.member.rewind_slice_stats();
+            slot.member.census(metrics, true);
+            metrics.held_add(slot.member.load().0);
+        }
+        self.members.len() as u64
+    }
+
+    /// Closes every remaining member, so detectors still settle and
+    /// sinks learn the outcome.
+    fn close_all(&mut self, metrics: &Metrics) {
+        for (name, mut slot) in self.members.drain() {
+            let mut out = Out {
+                metrics,
+                frames: &mut self.outbox,
+            };
+            let before = slot.member.load();
+            slot.member.close(&name, &mut out);
+            commit(metrics, before, slot.member.load());
+            slot.member.census(metrics, false);
+            forward(out.frames, &slot.sink);
+        }
+    }
+}
+
+/// Opens the store and rebuilds the shards' members from it: the newest
+/// snapshot restored, then the WAL tail fed through [`Shard::handle`] —
+/// the live path — answering into a dead sink. Errors replay produces
+/// were reported to the original client when the record was first
+/// acknowledged. The traffic counters replay moves describe the
+/// previous process's life, so they go to a scratch block; what the new
+/// process reports about recovery goes to `metrics`.
+fn recover(
+    p: &PersistConfig,
+    limits: SessionLimits,
+    shards: &mut [Shard],
+    metrics: &Metrics,
+) -> Result<SharedWal, StoreError> {
+    let started = Instant::now();
+    let store = Store::open(
+        &p.dir,
+        StoreOptions {
+            segment_bytes: p.segment_bytes,
+            sync: p.sync,
+        },
+    )?;
+    let mut from_seq = 0;
+    if let Some((seq, payload)) = store.load_snapshot()? {
+        let snap = ServiceSnapshot::from_json(&payload).map_err(StoreError::Corrupt)?;
+        for (name, member) in Member::restore(&snap, limits).map_err(StoreError::Corrupt)? {
+            let slot = Slot {
+                member,
+                sink: dead_sink(),
+                attached: false,
+            };
+            shards[shard_index_of(&name, shards.len())]
+                .members
+                .insert(name, slot);
+        }
+        from_seq = seq;
+    }
+    let (scratch, nowhere) = (Metrics::new(), dead_sink());
+    // The old process's gauges counted the snapshot's members; replay
+    // will count them out again as they close.
+    for shard in shards.iter_mut() {
+        shard.adopt(&scratch);
+    }
+    let mut replayed = 0u64;
+    for rec in store.replay(from_seq) {
+        let (seq, payload) = rec?;
+        let text = std::str::from_utf8(&payload)
+            .map_err(|e| StoreError::Corrupt(format!("wal record {seq} is not UTF-8: {e}")))?;
+        let value = serde_json::parse_value(text)
+            .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
+        let msg = ClientMsg::from_value(&value)
+            .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
+        if let Some(name) = msg.session() {
+            let shard = shard_index_of(name, shards.len());
+            shards[shard].handle(msg, &nowhere, &scratch);
+        }
+        replayed += 1;
+    }
+    let recovered = shards.iter_mut().map(|s| s.adopt(metrics)).sum();
+    metrics.sessions_recovered.store(recovered, Relaxed);
+    metrics.recovery_replayed.store(replayed, Relaxed);
+    metrics
+        .recovery_truncated_bytes
+        .store(store.recovery_report().truncated_bytes, Relaxed);
+    metrics
+        .recovery_millis
+        .store(started.elapsed().as_millis() as u64, Relaxed);
+    if let Some(secs) = store.stats().snapshot_unix_secs {
+        metrics.snapshot_unix_secs.store(secs, Relaxed);
+    }
+    Ok(Arc::new(Mutex::new(WalInner {
+        store,
+        since_snapshot: 0,
+        snapshot_every: p.snapshot_every.max(1),
+    })))
+}
+
+/// Runs the snapshot barrier: asks every shard for its frozen members,
 /// writes the combined snapshot at the current WAL position, and
 /// compacts covered segments. Called with the WAL lock held, so no new
 /// record can slip between the position claimed and the state captured.
@@ -392,10 +461,10 @@ fn snapshot_barrier(
     let mut snap = ServiceSnapshot::default();
     for _ in 0..expected {
         match reply_rx.recv() {
-            Ok(mut freeze) => {
-                snap.sessions.append(&mut freeze.sessions);
-                snap.workers.append(&mut freeze.workers);
-                snap.aggregators.append(&mut freeze.aggregators);
+            Ok(mut part) => {
+                snap.sessions.append(&mut part.sessions);
+                snap.workers.append(&mut part.workers);
+                snap.aggregators.append(&mut part.aggregators);
             }
             Err(_) => {
                 return Err(StoreError::Corrupt(
@@ -410,10 +479,8 @@ fn snapshot_barrier(
     inner.store.write_snapshot(snap.to_json().as_bytes())?;
     inner.store.compact()?;
     inner.since_snapshot = 0;
-    metrics.snapshots_written.fetch_add(1, Ordering::Relaxed);
-    metrics
-        .snapshot_unix_secs
-        .store(unix_now_secs(), Ordering::Relaxed);
+    metrics.snapshots_written.fetch_add(1, Relaxed);
+    metrics.snapshot_unix_secs.store(unix_now_secs(), Relaxed);
     Ok(())
 }
 
@@ -426,8 +493,8 @@ impl MonitorService {
     }
 
     /// Opens the service: recovers durable state (when configured),
-    /// then starts the shard workers — pre-seeded with the recovered
-    /// sessions — and the stats reporter.
+    /// then starts the shard workers — each owning its share of the
+    /// recovered members — and the stats reporter.
     ///
     /// Fails only on storage problems: a data directory locked by a
     /// running process ([`StoreError::Locked`]), I/O errors, or a
@@ -435,118 +502,26 @@ impl MonitorService {
     /// damaged WAL *tail* is repaired silently, but a snapshot that
     /// exists and lies is refused rather than guessed at).
     pub fn open(config: MonitorConfig) -> Result<MonitorService, StoreError> {
-        let shards = config.shards.max(1);
         let metrics = Arc::new(Metrics::new());
-
-        // Recovery happens before the first worker spawns: the rebuilt
-        // sessions are handed over as worker initial state, so no new
+        // Recovery happens before the first worker spawns, so no new
         // input can interleave with the replay.
-        let mut initial: Vec<Vec<SeedSlot>> = (0..shards).map(|_| Vec::new()).collect();
-        let wal: Option<SharedWal> = match &config.persist {
+        let mut shards: Vec<Shard> = (0..config.shards.max(1))
+            .map(|_| Shard::new(config.limits))
+            .collect();
+        let wal = match &config.persist {
             None => None,
-            Some(p) => {
-                let started = Instant::now();
-                let store = Store::open(
-                    &p.dir,
-                    StoreOptions {
-                        segment_bytes: p.segment_bytes,
-                        sync: p.sync,
-                    },
-                )?;
-                let mut state = Recovered::default();
-                let mut from_seq = 0;
-                if let Some((seq, payload)) = store.load_snapshot()? {
-                    let snap = ServiceSnapshot::from_json(&payload).map_err(StoreError::Corrupt)?;
-                    for s in &snap.sessions {
-                        let restored = Session::restore(s, config.limits).map_err(|e| {
-                            StoreError::Corrupt(format!("restore session '{}': {e}", s.name))
-                        })?;
-                        state.sessions.insert(s.name.clone(), restored);
-                    }
-                    for w in &snap.workers {
-                        let engine =
-                            DistWorker::restore(&w.snap, w.snap.states.len()).map_err(|e| {
-                                StoreError::Corrupt(format!("restore worker '{}': {e}", w.name))
-                            })?;
-                        state
-                            .workers
-                            .insert(w.name.clone(), (w.origin.clone(), engine));
-                    }
-                    for a in &snap.aggregators {
-                        let engine = DistAggregator::restore(
-                            &a.snap,
-                            a.processes,
-                            config.limits.buffer_capacity,
-                            config.limits.policy,
-                        )
-                        .map_err(|e| {
-                            StoreError::Corrupt(format!("restore aggregator '{}': {e}", a.name))
-                        })?;
-                        state.aggregators.insert(a.name.clone(), engine);
-                    }
-                    from_seq = seq;
-                }
-                let mut replayed = 0u64;
-                for rec in store.replay(from_seq) {
-                    let (seq, payload) = rec?;
-                    let text = std::str::from_utf8(&payload).map_err(|e| {
-                        StoreError::Corrupt(format!("wal record {seq} is not UTF-8: {e}"))
-                    })?;
-                    let value = serde_json::parse_value(text)
-                        .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
-                    let msg = ClientMsg::from_value(&value)
-                        .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
-                    apply_replayed(msg, &mut state, config.limits);
-                    replayed += 1;
-                }
-                let report = store.recovery_report();
-                metrics.sessions_recovered.store(
-                    (state.sessions.len() + state.workers.len() + state.aggregators.len()) as u64,
-                    Ordering::Relaxed,
-                );
-                metrics.recovery_replayed.store(replayed, Ordering::Relaxed);
-                metrics
-                    .recovery_truncated_bytes
-                    .store(report.truncated_bytes, Ordering::Relaxed);
-                metrics
-                    .recovery_millis
-                    .store(started.elapsed().as_millis() as u64, Ordering::Relaxed);
-                if let Some(secs) = store.stats().snapshot_unix_secs {
-                    metrics.snapshot_unix_secs.store(secs, Ordering::Relaxed);
-                }
-                for (name, session) in state.sessions {
-                    initial[shard_index_of(&name, shards)].push(SeedSlot::Local(session));
-                }
-                for (name, (origin, engine)) in state.workers {
-                    let shard = shard_index_of(&name, shards);
-                    initial[shard].push(SeedSlot::Worker {
-                        name,
-                        origin,
-                        engine,
-                    });
-                }
-                for (name, engine) in state.aggregators {
-                    let shard = shard_index_of(&name, shards);
-                    initial[shard].push(SeedSlot::Aggregator { name, engine });
-                }
-                Some(Arc::new(Mutex::new(WalInner {
-                    store,
-                    since_snapshot: 0,
-                    snapshot_every: p.snapshot_every.max(1),
-                })))
-            }
+            Some(p) => Some(recover(p, config.limits, &mut shards, &metrics)?),
         };
 
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for (shard, seed) in initial.into_iter().enumerate() {
+        let mut senders = Vec::with_capacity(shards.len());
+        let mut workers = Vec::with_capacity(shards.len());
+        for (index, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = unbounded();
             let metrics = Arc::clone(&metrics);
-            let limits = config.limits;
             workers.push(
                 std::thread::Builder::new()
-                    .name(format!("hb-monitor-shard-{shard}"))
-                    .spawn(move || shard_worker(rx, limits, metrics, seed))
+                    .name(format!("hb-monitor-shard-{index}"))
+                    .spawn(move || shard_worker(rx, shard, metrics))
                     .expect("spawn shard worker"),
             );
             senders.push(tx);
@@ -635,298 +610,113 @@ impl MonitorService {
 }
 
 impl MonitorHandle {
-    fn shard_index(&self, session: &str) -> usize {
-        shard_index_of(session, self.shards.len())
-    }
-
     /// Submits one client message; responses arrive on `sink`.
     ///
-    /// With persistence, session-mutating messages are appended to the
-    /// WAL **before** they are routed to a shard — by the time any
-    /// effect of the message is observable, its record is in the log.
-    /// An append failure refuses the message with `ServerMsg::Error`
-    /// instead of processing input that would be lost by a crash.
-    ///
-    /// `Stats` is answered synchronously from the shared metrics (no
-    /// shard round-trip); `Shutdown` is a transport-level concern and
-    /// answered with `Bye` — shutting the service down is the owner's
-    /// call via [`MonitorService::shutdown`].
+    /// Three stages. The **gate** answers what never reaches a session:
+    /// `Stats` synchronously from the shared metrics (no shard
+    /// round-trip); `Shutdown` with `Bye` — a transport-level concern,
+    /// shutting the service down is the owner's call via
+    /// [`MonitorService::shutdown`]; and whatever the emulated wire
+    /// version or a backend's role refuses. With persistence, the
+    /// **WAL** stage appends the message **before** it is routed — by
+    /// the time any effect of the message is observable, its record is
+    /// in the log — and an append failure refuses the message with
+    /// `ServerMsg::Error` instead of processing input that would be
+    /// lost by a crash. **Route** hands it to the shard owning the
+    /// session name.
     pub fn submit(&self, msg: ClientMsg, sink: &Sender<ServerMsg>) {
-        match &msg {
-            ClientMsg::Stats => {
-                let _ = sink.send(ServerMsg::Stats {
-                    counters: self.metrics.snapshot().to_map(),
-                });
-                return;
+        if let Some(answer) = self.gate(&msg) {
+            return self.answer(sink, answer);
+        }
+        // The gate answered every message that names no session.
+        let Some(session) = msg.session() else { return };
+        let shard = &self.shards[shard_index_of(session, self.shards.len())];
+        // One record per message — a batch is appended atomically.
+        let logged = self.wal.as_ref().map(|wal| {
+            let payload = serde_json::to_string(&msg.to_value()).expect("wire message serializes");
+            (wal, payload)
+        });
+        let cmd = Cmd::Msg {
+            msg,
+            sink: sink.clone(),
+        };
+        let Some((wal, payload)) = logged else {
+            let _ = shard.send(cmd);
+            return;
+        };
+        let mut inner = wal.lock();
+        if let Err(e) = inner.store.append(payload.as_bytes()) {
+            let message = format!("write-ahead log append failed: {e}");
+            return self.answer(sink, error_frame(None, None, message));
+        }
+        // Route while still holding the lock: a concurrent snapshot
+        // barrier must not run between this record's append and its
+        // arrival in the shard queue.
+        let _ = shard.send(cmd);
+        let stats = inner.store.stats();
+        self.metrics
+            .wal_records
+            .store(stats.appended_records, Relaxed);
+        self.metrics.wal_bytes.store(stats.appended_bytes, Relaxed);
+        self.metrics.wal_fsyncs.store(stats.fsyncs, Relaxed);
+        self.metrics
+            .wal_fsync_max_micros
+            .store(stats.fsync_max_micros, Relaxed);
+        inner.since_snapshot += 1;
+        if inner.since_snapshot >= inner.snapshot_every {
+            if let Err(e) = snapshot_barrier(&self.shards, &self.metrics, &mut inner) {
+                eprintln!("hb-monitor: snapshot failed: {e}");
             }
-            ClientMsg::Shutdown => {
-                let _ = sink.send(ServerMsg::Bye);
-                return;
-            }
+        }
+    }
+
+    /// The gate: the answer to a message that is settled without a
+    /// session, or `None` for one that goes on to the WAL and a shard.
+    fn gate(&self, msg: &ClientMsg) -> Option<ServerMsg> {
+        if let Some(refusal) = wire::refusal(self.wire_version, "monitor", msg) {
+            return Some(refusal);
+        }
+        Some(match msg {
+            ClientMsg::Stats => ServerMsg::Stats {
+                counters: self.metrics.snapshot().to_map(),
+            },
+            ClientMsg::Shutdown => ServerMsg::Bye,
             // Version handshake: also the gateway's health probe, so it
             // must stay cheap and side-effect free.
             ClientMsg::Hello { version } => {
                 match wire::negotiate_version(*version, self.wire_version) {
-                    Ok(version) => {
-                        let _ = sink.send(ServerMsg::Welcome { version });
-                    }
-                    Err(message) => {
-                        self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = sink.send(ServerMsg::Error {
-                            session: None,
-                            kind: None,
-                            message,
-                        });
-                    }
+                    Ok(version) => ServerMsg::Welcome { version },
+                    Err(message) => error_frame(None, None, message),
                 }
-                return;
             }
-            ClientMsg::Drain { backend } => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: format!(
-                        "cannot drain '{backend}': this is a monitor backend, \
-                         not a gateway — point `hbtl gateway drain` at the gateway"
-                    ),
-                });
-                return;
-            }
-            // A pre-v3 build has no `events` decoder; answering the way
-            // its parser would keeps the emulation honest for
-            // compatibility tests (the SDK never triggers this — it
-            // falls back to single frames after the handshake).
-            ClientMsg::Events { .. } if self.wire_version < 3 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: "unknown client message 'events'".into(),
-                });
-                return;
-            }
-            // Pattern predicates joined the wire in v4. A pre-v4 build
-            // would refuse the unknown mode at the parser; we answer
-            // with a machine-readable kind so dialers can classify the
-            // downgrade without scraping message text.
-            ClientMsg::Open {
-                session,
-                predicates,
-                ..
-            } if self.wire_version < 4
-                && predicates
-                    .iter()
-                    .any(|p| p.mode == WireMode::Pattern || p.pattern.is_some()) =>
-            {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(session.clone()),
-                    kind: Some(wire::error_kind::UNSUPPORTED_PREDICATE.to_string()),
-                    message: format!(
-                        "pattern predicates need wire v4; this monitor speaks v{}",
-                        self.wire_version
-                    ),
-                });
-                return;
-            }
-            // Distributed sessions joined the wire in v5. A real pre-v5
-            // parser would *silently ignore* the unknown `dist` key and
-            // open a plain session — a correctness hazard, not a
-            // degradation — so the emulation refuses loudly with a
-            // machine-readable kind the gateway and SDK gate on.
-            ClientMsg::Open {
-                session,
-                dist: Some(_),
-                ..
-            } if self.wire_version < 5 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(session.clone()),
-                    kind: Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION.to_string()),
-                    message: format!(
-                        "distributed sessions need wire v5; this monitor speaks v{}",
-                        self.wire_version
-                    ),
-                });
-                return;
-            }
-            // Partitioning is the gateway's job: a backend accepts the
-            // derived worker/aggregator opens, never the client-facing
-            // `distribute` request.
+            ClientMsg::Drain { backend } => error_frame(
+                None,
+                None,
+                format!(
+                    "cannot drain '{backend}': this is a monitor backend, \
+                     not a gateway — point `hbtl gateway drain` at the gateway"
+                ),
+            ),
+            // A backend accepts the derived worker/aggregator opens,
+            // never the client-facing `distribute` request.
             ClientMsg::Open {
                 session,
                 dist: Some(WireDistRole::Distribute { .. }),
                 ..
-            } => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(session.clone()),
-                    kind: Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION.to_string()),
-                    message: "distributed sessions are opened through a gateway; \
-                              this is a monitor backend"
-                        .into(),
-                });
-                return;
-            }
-            // A pre-v5 build has no decoder for the inter-monitor
-            // frames; answer the way its parser would.
-            ClientMsg::DistEvent { .. } if self.wire_version < 5 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: "unknown client message 'dist-event'".into(),
-                });
-                return;
-            }
-            ClientMsg::SliceUpdate { .. } if self.wire_version < 5 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: "unknown client message 'slice-update'".into(),
-                });
-                return;
-            }
-            _ => {}
+            } => error_frame(
+                Some(session),
+                Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION),
+                GATEWAY_ONLY.into(),
+            ),
+            _ => return None,
+        })
+    }
+
+    fn answer(&self, sink: &Sender<ServerMsg>, answer: ServerMsg) {
+        if matches!(answer, ServerMsg::Error { .. }) {
+            self.metrics.protocol_errors.fetch_add(1, Relaxed);
         }
-        let payload = self
-            .wal
-            .as_ref()
-            .map(|_| serde_json::to_string(&msg.to_value()).expect("wire message serializes"));
-        let (shard, cmd) = match msg {
-            ClientMsg::Open {
-                session,
-                processes,
-                vars,
-                initial,
-                predicates,
-                dist,
-            } => (
-                self.shard_index(&session),
-                Cmd::Open {
-                    session,
-                    processes,
-                    vars,
-                    initial,
-                    predicates,
-                    dist,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::Event {
-                session,
-                p,
-                clock,
-                set,
-            } => (
-                self.shard_index(&session),
-                Cmd::Event {
-                    session,
-                    p,
-                    clock,
-                    set,
-                    sink: sink.clone(),
-                },
-            ),
-            // One WAL record for the whole batch (already serialized
-            // above), one shard command: the append is atomic, delivery
-            // below is per-event.
-            ClientMsg::Events { session, events } => (
-                self.shard_index(&session),
-                Cmd::EventBatch {
-                    session,
-                    events,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::FinishProcess { session, p } => (
-                self.shard_index(&session),
-                Cmd::Finish {
-                    session,
-                    p,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::Close { session } => (
-                self.shard_index(&session),
-                Cmd::Close {
-                    session,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::DistEvent {
-                session,
-                seq,
-                event,
-            } => (
-                self.shard_index(&session),
-                Cmd::DistEvent {
-                    session,
-                    seq,
-                    event,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::SliceUpdate {
-                session,
-                seq,
-                update,
-            } => (
-                self.shard_index(&session),
-                Cmd::SliceUpdate {
-                    session,
-                    seq,
-                    update,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::Stats
-            | ClientMsg::Shutdown
-            | ClientMsg::Hello { .. }
-            | ClientMsg::Drain { .. } => unreachable!("answered above"),
-        };
-        match (&self.wal, payload) {
-            (Some(wal), Some(payload)) => {
-                let mut inner = wal.lock();
-                if let Err(e) = inner.store.append(payload.as_bytes()) {
-                    self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = sink.send(ServerMsg::Error {
-                        session: None,
-                        kind: None,
-                        message: format!("write-ahead log append failed: {e}"),
-                    });
-                    return;
-                }
-                // Route while still holding the lock: a concurrent
-                // snapshot barrier must not run between this record's
-                // append and its arrival in the shard queue.
-                let _ = self.shards[shard].send(cmd);
-                let stats = inner.store.stats();
-                self.metrics
-                    .wal_records
-                    .store(stats.appended_records, Ordering::Relaxed);
-                self.metrics
-                    .wal_bytes
-                    .store(stats.appended_bytes, Ordering::Relaxed);
-                self.metrics
-                    .wal_fsyncs
-                    .store(stats.fsyncs, Ordering::Relaxed);
-                self.metrics
-                    .wal_fsync_max_micros
-                    .store(stats.fsync_max_micros, Ordering::Relaxed);
-                inner.since_snapshot += 1;
-                if inner.since_snapshot >= inner.snapshot_every {
-                    if let Err(e) = snapshot_barrier(&self.shards, &self.metrics, &mut inner) {
-                        eprintln!("hb-monitor: snapshot failed: {e}");
-                    }
-                }
-            }
-            _ => {
-                let _ = self.shards[shard].send(cmd);
-            }
-        }
+        let _ = sink.send(answer);
     }
 
     /// The shared metrics.
@@ -935,779 +725,35 @@ impl MonitorHandle {
     }
 }
 
-/// One session plus the sink registered at its open (or re-attached
-/// after recovery).
-struct Slot {
-    session: Session,
-    sink: Sender<ServerMsg>,
-    /// False for a session rebuilt by crash recovery that no client has
-    /// spoken to yet: its sink is dead, and settled verdicts have not
-    /// been shown to the post-restart client.
-    attached: bool,
-}
-
-/// One distributed-session worker partition, registered under its
-/// decorated name (`origin#w<i>`).
-struct WorkerSlot {
-    /// The origin session name the partition's slice updates carry.
-    origin: String,
-    engine: DistWorker,
-    sink: Sender<ServerMsg>,
-    attached: bool,
-}
-
-/// One distributed-session aggregator, registered under the origin
-/// session name — the member of the partition the client hears.
-struct AggSlot {
-    engine: DistAggregator,
-    sink: Sender<ServerMsg>,
-    attached: bool,
-}
-
-fn wire_verdict(v: &OnlineVerdict) -> WireVerdict {
-    match v {
-        OnlineVerdict::Detected(cut) => WireVerdict::Detected(cut.counters().to_vec()),
-        OnlineVerdict::Impossible => WireVerdict::Impossible,
-        OnlineVerdict::Pending => WireVerdict::Pending,
-    }
-}
-
-fn send_verdicts(
-    name: &str,
-    verdicts: Vec<VerdictEvent>,
-    sink: &Sender<ServerMsg>,
-    metrics: &Metrics,
-) {
-    for v in verdicts {
-        metrics.verdicts_settled.fetch_add(1, Ordering::Relaxed);
-        metrics.record_verdict(
-            &v.predicate,
-            v.pattern,
-            matches!(v.verdict, OnlineVerdict::Detected(_)),
-        );
-        let _ = sink.send(ServerMsg::Verdict {
-            session: name.to_string(),
-            predicate: v.predicate,
-            verdict: wire_verdict(&v.verdict),
-        });
-    }
-}
-
-/// Drains a session's slicing-filter counter deltas into the shared
-/// metrics. Called at verdict, finish, snapshot, and close boundaries —
-/// never per event, so sliced ingestion stays mutex-free on the hot
-/// path (the counters lag by at most one such boundary).
-fn flush_slice_stats(session: &mut Session, metrics: &Metrics) {
-    for (id, events_in, events_filtered) in session.take_slice_stats() {
-        metrics.record_slice(&id, events_in, events_filtered);
-    }
-}
-
-/// First client contact with a recovered session: adopt the client's
-/// sink and re-report everything that settled before the crash (the
-/// client that originally received those verdicts is gone).
-fn attach(slot: &mut Slot, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
-    if slot.attached {
-        return;
-    }
-    slot.sink = sink.clone();
-    slot.attached = true;
-    metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
-    for v in slot.session.all_verdicts() {
-        if !matches!(v.verdict, OnlineVerdict::Pending) {
-            let _ = slot.sink.send(ServerMsg::Verdict {
-                session: name.to_string(),
-                predicate: v.predicate,
-                verdict: wire_verdict(&v.verdict),
-            });
-        }
-    }
-}
-
-/// The machine-readable [`wire::error_kind`] for a session error, when
-/// one exists. Replay artifacts of at-least-once clients get kinds so
-/// those clients can classify them without parsing message text.
-fn error_kind_of(e: &SessionError) -> Option<&'static str> {
-    match e {
-        SessionError::AlreadyFinished(_) => Some(wire::error_kind::ALREADY_FINISHED),
-        SessionError::Ingest(IngestError::Duplicate { .. }) => {
-            Some(wire::error_kind::DUPLICATE_EVENT)
-        }
-        _ => None,
-    }
-}
-
-/// [`error_kind_of`] for the aggregator's replica errors: the same
-/// classification, so distributed error frames carry the same kinds.
-fn dist_error_kind(e: &DistError) -> Option<&'static str> {
-    match e {
-        DistError::AlreadyFinished(_) => Some(wire::error_kind::ALREADY_FINISHED),
-        DistError::Ingest(IngestError::Duplicate { .. }) => Some(wire::error_kind::DUPLICATE_EVENT),
-        _ => None,
-    }
-}
-
-/// Ships a worker's slice updates toward the aggregator: one
-/// `ServerMsg::SliceUpdate` frame per update, carrying the **origin**
-/// session name so the gateway can relay by session.
-fn relay_updates(
-    origin: &str,
-    updates: Vec<(u64, SliceUpdateBody)>,
-    sink: &Sender<ServerMsg>,
-    metrics: &Metrics,
-) {
-    metrics
-        .dist_updates_relayed
-        .fetch_add(updates.len() as u64, Ordering::Relaxed);
-    for (seq, update) in updates {
-        let _ = sink.send(ServerMsg::SliceUpdate {
-            session: origin.to_string(),
-            seq,
-            update,
-        });
-    }
-}
-
-/// Drains a worker partition's slicing counter deltas into the shared
-/// metrics (the aggregator must *not* report these — the worker is
-/// where filtering happens, and double counting would follow).
-fn flush_worker_slice_stats(engine: &mut DistWorker, metrics: &Metrics) {
-    for (id, events_in, events_filtered) in engine.take_slice_stats() {
-        metrics.record_slice(&id, events_in, events_filtered);
-    }
-}
-
-/// Turns an aggregator's observable steps into the session's reply
-/// frames — the exact frames a single-backend session would emit —
-/// and mirrors the single-backend metrics bookkeeping. Returns whether
-/// a close was processed (the caller then drops the slot).
-fn emit_agg_steps(
-    name: &str,
-    steps: Vec<AggStep>,
-    sink: &Sender<ServerMsg>,
-    metrics: &Metrics,
-) -> bool {
-    let mut closed = false;
-    for step in steps {
-        match step {
-            AggStep::Verdict { predicate, verdict } => {
-                metrics.verdicts_settled.fetch_add(1, Ordering::Relaxed);
-                metrics.record_verdict(
-                    &predicate,
-                    false,
-                    matches!(verdict, OnlineVerdict::Detected(_)),
-                );
-                let _ = sink.send(ServerMsg::Verdict {
-                    session: name.to_string(),
-                    predicate,
-                    verdict: wire_verdict(&verdict),
-                });
-            }
-            AggStep::Error(e) => {
-                match &e {
-                    DistError::Ingest(IngestError::Duplicate { .. }) => {
-                        metrics.events_duplicate.fetch_add(1, Ordering::Relaxed);
-                    }
-                    DistError::Ingest(IngestError::Overflow { .. }) => {
-                        metrics.events_rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    DistError::Ingest(IngestError::Dropped) => {
-                        metrics.events_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(name.to_string()),
-                    kind: dist_error_kind(&e).map(str::to_string),
-                    message: e.to_string(),
-                });
-            }
-            AggStep::Closed { discarded } => {
-                metrics
-                    .events_discarded
-                    .fetch_add(discarded, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Closed {
-                    session: name.to_string(),
-                    discarded,
-                });
-                closed = true;
-            }
-        }
-    }
-    closed
-}
-
-/// First client contact with a recovered aggregator: adopt the sink
-/// and re-report settled verdicts, exactly like [`attach`] does for a
-/// plain session.
-fn attach_agg(slot: &mut AggSlot, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
-    if slot.attached {
-        return;
-    }
-    slot.sink = sink.clone();
-    slot.attached = true;
-    metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
-    for (predicate, verdict) in slot.engine.all_verdicts() {
-        if !matches!(verdict, OnlineVerdict::Pending) {
-            let _ = slot.sink.send(ServerMsg::Verdict {
-                session: name.to_string(),
-                predicate,
-                verdict: wire_verdict(&verdict),
-            });
-        }
-    }
-}
-
-/// Feeds one event into an attached slot's causal buffer and reports
-/// the outcome — the shared per-event path of `Cmd::Event` and every
-/// member of a `Cmd::EventBatch`.
-fn ingest_one(
-    name: &str,
-    slot: &mut Slot,
-    p: usize,
-    clock: Vec<u32>,
-    set: BTreeMap<String, i64>,
-    metrics: &Metrics,
-) {
-    metrics.events_ingested.fetch_add(1, Ordering::Relaxed);
-    let held_before = slot.session.held();
-    let delivered_before = slot.session.delivered();
-    match slot
-        .session
-        .event(p, VectorClock::from_components(clock), &set)
-    {
-        Ok(verdicts) => {
-            let delivered = slot.session.delivered() - delivered_before;
-            metrics
-                .events_delivered
-                .fetch_add(delivered, Ordering::Relaxed);
-            let held_now = slot.session.held();
-            if held_now > held_before {
-                metrics.held_add((held_now - held_before) as u64);
-            } else {
-                metrics.held_sub((held_before - held_now) as u64);
-            }
-            if !verdicts.is_empty() {
-                flush_slice_stats(&mut slot.session, metrics);
-            }
-            send_verdicts(name, verdicts, &slot.sink, metrics);
-        }
-        Err(e) => {
-            match &e {
-                SessionError::Ingest(IngestError::Duplicate { .. }) => {
-                    metrics.events_duplicate.fetch_add(1, Ordering::Relaxed);
-                }
-                SessionError::Ingest(IngestError::Overflow { .. }) => {
-                    metrics.events_rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                SessionError::Ingest(IngestError::Dropped) => {
-                    metrics.events_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = slot.sink.send(ServerMsg::Error {
-                session: Some(name.to_string()),
-                kind: error_kind_of(&e).map(str::to_string),
-                message: e.to_string(),
-            });
-        }
-    }
-}
-
-fn close_slot(name: &str, mut slot: Slot, metrics: &Metrics) {
-    let held_before = slot.session.held() as u64;
-    let (verdicts, discarded) = slot.session.close();
-    flush_slice_stats(&mut slot.session, metrics);
-    metrics.held_sub(held_before);
-    metrics
-        .events_discarded
-        .fetch_add(discarded, Ordering::Relaxed);
-    metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
-    send_verdicts(name, verdicts, &slot.sink, metrics);
-    let _ = slot.sink.send(ServerMsg::Closed {
-        session: name.to_string(),
-        discarded,
-    });
-}
-
-/// The shard worker loop: owns its sessions, applies commands in
-/// arrival order, pushes responses into per-session sinks. `seed` holds
-/// sessions rebuilt by crash recovery; they start detached.
-fn shard_worker(
-    rx: Receiver<Cmd>,
-    limits: SessionLimits,
-    metrics: Arc<Metrics>,
-    seed: Vec<SeedSlot>,
-) {
-    let mut slots: HashMap<String, Slot> = HashMap::new();
-    let mut workers: HashMap<String, WorkerSlot> = HashMap::new();
-    let mut aggs: HashMap<String, AggSlot> = HashMap::new();
-    for seeded in seed {
-        match seeded {
-            SeedSlot::Local(session) => {
-                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                metrics.held_add(session.held() as u64);
-                slots.insert(
-                    session.name().to_string(),
-                    Slot {
-                        session,
-                        sink: dead_sink(),
-                        attached: false,
-                    },
-                );
-            }
-            SeedSlot::Worker {
-                name,
-                origin,
-                engine,
-            } => {
-                metrics.dist_workers_active.fetch_add(1, Ordering::Relaxed);
-                workers.insert(
-                    name,
-                    WorkerSlot {
-                        origin,
-                        engine,
-                        sink: dead_sink(),
-                        attached: false,
-                    },
-                );
-            }
-            SeedSlot::Aggregator { name, engine } => {
-                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .dist_aggregators_active
-                    .fetch_add(1, Ordering::Relaxed);
-                metrics.held_add(engine.held() as u64);
-                aggs.insert(
-                    name,
-                    AggSlot {
-                        engine,
-                        sink: dead_sink(),
-                        attached: false,
-                    },
-                );
-            }
-        }
-    }
-    let err = |sink: &Sender<ServerMsg>,
-               session: Option<&str>,
-               kind: Option<&str>,
-               message: String,
-               metrics: &Metrics| {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        let _ = sink.send(ServerMsg::Error {
-            session: session.map(str::to_string),
-            kind: kind.map(str::to_string),
-            message,
-        });
-    };
+/// The shard worker loop: applies commands in arrival order to the
+/// members it owns. `shard` arrives holding whatever crash recovery
+/// rebuilt.
+fn shard_worker(rx: Receiver<Cmd>, mut shard: Shard, metrics: Arc<Metrics>) {
     for cmd in rx.iter() {
         match cmd {
-            Cmd::Open {
-                session,
-                processes,
-                vars,
-                initial,
-                predicates,
-                dist,
-                sink,
-            } => {
-                if slots.contains_key(&session)
-                    || workers.contains_key(&session)
-                    || aggs.contains_key(&session)
-                {
-                    err(
-                        &sink,
-                        Some(&session),
-                        Some(wire::error_kind::ALREADY_OPEN),
-                        format!("session '{session}' already open"),
-                        &metrics,
-                    );
-                    continue;
-                }
-                match dist {
-                    None => match Session::open(
-                        &session,
-                        processes,
-                        &vars,
-                        &initial,
-                        &predicates,
-                        limits,
-                    ) {
-                        Ok(mut s) => {
-                            metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                            metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                            let _ = sink.send(ServerMsg::Opened {
-                                session: session.clone(),
-                            });
-                            send_verdicts(&session, s.take_initial_verdicts(), &sink, &metrics);
-                            slots.insert(
-                                session,
-                                Slot {
-                                    session: s,
-                                    sink,
-                                    attached: true,
-                                },
-                            );
-                        }
-                        Err(e) => err(
-                            &sink,
-                            Some(&session),
-                            error_kind_of(&e),
-                            e.to_string(),
-                            &metrics,
-                        ),
-                    },
-                    Some(WireDistRole::Worker { origin, worker, k }) => {
-                        match DistWorker::open(worker, k, processes, &vars, &initial, &predicates) {
-                            Ok(engine) => {
-                                metrics.dist_workers_active.fetch_add(1, Ordering::Relaxed);
-                                let _ = sink.send(ServerMsg::Opened {
-                                    session: session.clone(),
-                                });
-                                workers.insert(
-                                    session,
-                                    WorkerSlot {
-                                        origin,
-                                        engine,
-                                        sink,
-                                        attached: true,
-                                    },
-                                );
-                            }
-                            Err(e) => err(
-                                &sink,
-                                Some(&session),
-                                None,
-                                format!("bad open: {e}"),
-                                &metrics,
-                            ),
-                        }
-                    }
-                    Some(WireDistRole::Aggregator { k }) => {
-                        match DistAggregator::open(
-                            k,
-                            processes,
-                            &vars,
-                            &initial,
-                            &predicates,
-                            limits.buffer_capacity,
-                            limits.policy,
-                        ) {
-                            Ok(mut engine) => {
-                                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                                metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                                metrics
-                                    .dist_aggregators_active
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let _ = sink.send(ServerMsg::Opened {
-                                    session: session.clone(),
-                                });
-                                let initial_verdicts: Vec<AggStep> = engine
-                                    .take_initial_verdicts()
-                                    .into_iter()
-                                    .map(|(predicate, verdict)| AggStep::Verdict {
-                                        predicate,
-                                        verdict,
-                                    })
-                                    .collect();
-                                emit_agg_steps(&session, initial_verdicts, &sink, &metrics);
-                                aggs.insert(
-                                    session,
-                                    AggSlot {
-                                        engine,
-                                        sink,
-                                        attached: true,
-                                    },
-                                );
-                            }
-                            Err(e) => err(&sink, Some(&session), None, e.to_string(), &metrics),
-                        }
-                    }
-                    // Refused at the handle; kept for direct in-process
-                    // submitters.
-                    Some(WireDistRole::Distribute { .. }) => err(
-                        &sink,
-                        Some(&session),
-                        Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION),
-                        "distributed sessions are opened through a gateway; \
-                         this is a monitor backend"
-                            .into(),
-                        &metrics,
-                    ),
-                }
-            }
-            Cmd::Event {
-                session,
-                p,
-                clock,
-                set,
-                sink,
-            } => {
-                let Some(slot) = slots.get_mut(&session) else {
-                    let message = if workers.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is distributed; its frames are routed by the gateway")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
-                    continue;
-                };
-                attach(slot, &session, &sink, &metrics);
-                ingest_one(&session, slot, p, clock, set, &metrics);
-            }
-            Cmd::EventBatch {
-                session,
-                events,
-                sink,
-            } => {
-                let Some(slot) = slots.get_mut(&session) else {
-                    let message = if workers.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is distributed; its frames are routed by the gateway")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
-                    continue;
-                };
-                attach(slot, &session, &sink, &metrics);
-                metrics.batches_ingested.fetch_add(1, Ordering::Relaxed);
-                for e in events {
-                    ingest_one(&session, slot, e.p, e.clock, e.set, &metrics);
-                }
-            }
-            Cmd::Finish { session, p, sink } => {
-                let Some(slot) = slots.get_mut(&session) else {
-                    let message = if workers.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is distributed; its frames are routed by the gateway")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
-                    continue;
-                };
-                attach(slot, &session, &sink, &metrics);
-                match slot.session.finish_process(p) {
-                    Ok(verdicts) => {
-                        flush_slice_stats(&mut slot.session, &metrics);
-                        send_verdicts(&session, verdicts, &slot.sink, &metrics)
-                    }
-                    Err(e) => err(
-                        &slot.sink.clone(),
-                        Some(&session),
-                        error_kind_of(&e),
-                        e.to_string(),
-                        &metrics,
-                    ),
-                }
-            }
-            Cmd::DistEvent {
-                session,
-                seq,
-                event,
-                sink,
-            } => {
-                let Some(slot) = workers.get_mut(&session) else {
-                    let message = if slots.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is not a distributed worker partition")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
-                    continue;
-                };
-                if !slot.attached {
-                    slot.sink = sink.clone();
-                    slot.attached = true;
-                    metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
-                }
-                metrics.events_ingested.fetch_add(1, Ordering::Relaxed);
-                let updates = slot.engine.observe(
-                    seq,
-                    event.p,
-                    VectorClock::from_components(event.clock),
-                    &event.set,
-                );
-                relay_updates(&slot.origin, updates, &slot.sink, &metrics);
-            }
-            Cmd::SliceUpdate {
-                session,
-                seq,
-                update,
-                sink,
-            } => {
-                let Some(slot) = aggs.get_mut(&session) else {
-                    let message = if slots.contains_key(&session) || workers.contains_key(&session)
-                    {
-                        format!("session '{session}' is not a distributed session")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
-                    continue;
-                };
-                attach_agg(slot, &session, &sink, &metrics);
-                metrics.dist_updates_applied.fetch_add(1, Ordering::Relaxed);
-                let held_before = slot.engine.held();
-                let delivered_before = slot.engine.delivered();
-                let steps = slot.engine.update(seq, update);
-                let delivered = slot.engine.delivered() - delivered_before;
-                metrics
-                    .events_delivered
-                    .fetch_add(delivered, Ordering::Relaxed);
-                let held_now = slot.engine.held();
-                if held_now > held_before {
-                    metrics.held_add((held_now - held_before) as u64);
-                } else {
-                    metrics.held_sub((held_before - held_now) as u64);
-                }
-                if emit_agg_steps(&session, steps, &slot.sink, &metrics) {
-                    metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
-                    metrics
-                        .dist_aggregators_active
-                        .fetch_sub(1, Ordering::Relaxed);
-                    aggs.remove(&session);
-                }
-            }
-            Cmd::Close { session, sink } => {
-                if let Some(mut slot) = slots.remove(&session) {
-                    attach(&mut slot, &session, &sink, &metrics);
-                    close_slot(&session, slot, &metrics);
-                } else if let Some(mut slot) = workers.remove(&session) {
-                    // The gateway closes the partitions before sending
-                    // the aggregator its close update, so stranded
-                    // holds flush into the update stream first.
-                    if !slot.attached {
-                        slot.sink = sink.clone();
-                        slot.attached = true;
-                        metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let flushed = slot.engine.close();
-                    let discarded = flushed.len() as u64;
-                    relay_updates(&slot.origin, flushed, &slot.sink, &metrics);
-                    flush_worker_slice_stats(&mut slot.engine, &metrics);
-                    metrics.dist_workers_active.fetch_sub(1, Ordering::Relaxed);
-                    let _ = slot.sink.send(ServerMsg::Closed { session, discarded });
-                } else if let Some(mut slot) = aggs.remove(&session) {
-                    // A plain close reaching the aggregator directly
-                    // (not the gateway's sequenced close update):
-                    // close out of band.
-                    attach_agg(&mut slot, &session, &sink, &metrics);
-                    metrics.held_sub(slot.engine.held() as u64);
-                    let steps = slot.engine.close_now();
-                    emit_agg_steps(&session, steps, &slot.sink, &metrics);
-                    metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
-                    metrics
-                        .dist_aggregators_active
-                        .fetch_sub(1, Ordering::Relaxed);
-                } else {
-                    err(
-                        &sink,
-                        Some(&session),
-                        None,
-                        format!("no such session '{session}'"),
-                        &metrics,
-                    );
-                }
-            }
+            Cmd::Msg { msg, sink } => shard.handle(msg, &sink, &metrics),
             Cmd::Snapshot { reply } => {
-                for slot in slots.values_mut() {
-                    flush_slice_stats(&mut slot.session, &metrics);
-                }
-                for slot in workers.values_mut() {
-                    flush_worker_slice_stats(&mut slot.engine, &metrics);
-                }
-                let _ = reply.send(ShardFreeze {
-                    sessions: slots.values().map(|s| s.session.snapshot()).collect(),
-                    workers: workers
-                        .iter()
-                        .map(|(name, w)| WorkerSlotSnapshot {
-                            name: name.clone(),
-                            origin: w.origin.clone(),
-                            snap: w.engine.snapshot(),
-                        })
-                        .collect(),
-                    aggregators: aggs
-                        .iter()
-                        .map(|(name, a)| AggregatorSlotSnapshot {
-                            name: name.clone(),
-                            processes: a.engine.processes(),
-                            snap: a.engine.snapshot(),
-                        })
-                        .collect(),
-                });
+                let _ = reply.send(shard.freeze(&metrics));
             }
             Cmd::Flush => break,
         }
     }
-    // Reached on Flush or channel disconnect: close every remaining
-    // session so detectors still settle and sinks learn the outcome.
-    // Workers flush before aggregators so a co-located aggregator can
-    // still absorb their stranded-hold updates.
-    for (name, mut slot) in workers.drain() {
-        let flushed = slot.engine.close();
-        let discarded = flushed.len() as u64;
-        relay_updates(&slot.origin, flushed, &slot.sink, &metrics);
-        flush_worker_slice_stats(&mut slot.engine, &metrics);
-        metrics.dist_workers_active.fetch_sub(1, Ordering::Relaxed);
-        let _ = slot.sink.send(ServerMsg::Closed {
-            session: name,
-            discarded,
-        });
-    }
-    for (name, mut slot) in aggs.drain() {
-        metrics.held_sub(slot.engine.held() as u64);
-        let steps = slot.engine.close_now();
-        emit_agg_steps(&name, steps, &slot.sink, &metrics);
-        metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
-        metrics
-            .dist_aggregators_active
-            .fetch_sub(1, Ordering::Relaxed);
-    }
-    for (name, slot) in slots.drain() {
-        close_slot(&name, slot, &metrics);
-    }
+    // Reached on Flush or channel disconnect.
+    shard.close_all(&metrics);
 }
 
 // ---- TCP transport --------------------------------------------------------
 
 /// Serves the wire protocol on `listener` until a client sends
-/// `shutdown`. Each connection gets a reader (this function's accept
-/// loop spawns it) and a writer thread draining the connection's sink.
+/// `shutdown`. Each connection gets a reader (spawned by the shared
+/// accept loop) and a writer thread draining the connection's sink.
 ///
 /// Returns when a `shutdown` frame arrives; the caller then owns the
 /// final [`MonitorService::shutdown`].
 pub fn serve(listener: TcpListener, handle: MonitorHandle) -> std::io::Result<()> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let addr = listener.local_addr()?;
-    let mut conn_threads = Vec::new();
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = stream?;
-        // Small request/reply frames; Nagle would stall each exchange on
-        // a delayed-ACK round trip.
-        let _ = stream.set_nodelay(true);
-        let handle = handle.clone();
-        let stop = Arc::clone(&stop);
-        conn_threads.push(std::thread::spawn(move || {
-            let shutdown_requested = serve_connection(stream, handle);
-            if shutdown_requested {
-                stop.store(true, Ordering::SeqCst);
-                // Unblock the accept loop.
-                let _ = TcpStream::connect(addr);
-            }
-        }));
-    }
-    for t in conn_threads {
-        let _ = t.join();
-    }
-    Ok(())
+    dial::accept_loop(listener, move |stream| {
+        serve_connection(stream, handle.clone())
+    })
 }
 
 /// Handles one connection; returns whether the client asked the whole
@@ -1759,7 +805,8 @@ fn serve_connection(stream: TcpStream, handle: MonitorHandle) -> bool {
 mod tests {
     use super::*;
     use hb_store::SyncPolicy;
-    use hb_tracefmt::wire::{WireClause, WireMode};
+    use hb_tracefmt::wire::{SliceUpdateBody, WireClause, WireMode, WirePredicate, WireVerdict};
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
 
     fn fig2_open(session: &str) -> ClientMsg {
@@ -2562,7 +1609,7 @@ mod tests {
         }
         driver.relay(&handle, 3);
         assert!(matches!(
-            driver.arx.try_recv().unwrap(),
+            driver.arx.recv().unwrap(),
             ServerMsg::Opened { .. }
         ));
         // "Crash": drop without shutdown. The WAL holds the three
@@ -2710,5 +1757,65 @@ mod tests {
             other => panic!("expected an error, got {other:?}"),
         }
         service.shutdown();
+    }
+
+    /// Live and replay must agree on who holds a name. A worker- or
+    /// aggregator-role open of a name a plain session holds is refused
+    /// live; its WAL record must be refused again by replay, not come
+    /// back as a second member under the same name.
+    #[test]
+    fn a_refused_cross_kind_open_stays_refused_after_a_crash() {
+        let roles = [
+            (
+                "worker",
+                WireDistRole::Worker {
+                    origin: "o".into(),
+                    worker: 0,
+                    k: 1,
+                },
+            ),
+            ("aggregator", WireDistRole::Aggregator { k: 1 }),
+        ];
+        let dist_event = || ClientMsg::DistEvent {
+            session: "s".into(),
+            seq: 0,
+            event: wire::EventFrame {
+                p: 0,
+                clock: vec![1, 0],
+                set: BTreeMap::new(),
+            },
+        };
+        for (case, role) in roles {
+            let config = MonitorConfig {
+                persist: Some(persist_config(&format!("cross-kind-{case}"))),
+                ..MonitorConfig::default()
+            };
+            let service = MonitorService::open(config.clone()).unwrap();
+            let handle = service.handle();
+            let (tx, rx) = unbounded();
+            handle.submit(fig2_open("s"), &tx);
+            assert!(matches!(rx.recv().unwrap(), ServerMsg::Opened { .. }));
+            handle.submit(fig2_dist_open("s", role), &tx);
+            match rx.recv().unwrap() {
+                ServerMsg::Error { kind, .. } => {
+                    assert_eq!(kind.as_deref(), Some(wire::error_kind::ALREADY_OPEN));
+                }
+                other => panic!("{case}: expected already_open, got {other:?}"),
+            }
+            assert_eq!(service.metrics().sessions_active, 1, "{case}");
+            handle.submit(dist_event(), &tx);
+            let refused = rx.recv().unwrap();
+            assert!(matches!(refused, ServerMsg::Error { .. }), "{refused:?}");
+            // "Crash": drop without shutdown.
+            drop(handle);
+            drop(service);
+
+            let service = MonitorService::open(config).unwrap();
+            assert_eq!(service.metrics().sessions_recovered, 1, "{case}");
+            let (tx, rx) = unbounded();
+            service.handle().submit(dist_event(), &tx);
+            assert_eq!(rx.recv().unwrap(), refused, "{case}");
+            service.shutdown();
+        }
     }
 }

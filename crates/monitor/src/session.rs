@@ -577,6 +577,16 @@ impl Session {
         out
     }
 
+    /// Restarts the [`Session::take_slice_stats`] watermark at zero, as
+    /// after a restore: the next call reports lifetime totals. For a
+    /// session whose earlier reports went to a metrics block that was
+    /// thrown away (WAL replay).
+    pub fn rewind_slice_stats(&mut self) {
+        for e in &mut self.monitors {
+            e.slice_reported = (0, 0);
+        }
+    }
+
     /// Ingests one event. On success, returns the verdicts that settled
     /// as a consequence (usually none).
     pub fn event(

@@ -1,4 +1,5 @@
-//! Dialing with retry, backoff, and the protocol handshake.
+//! Dialing with retry, backoff, and the protocol handshake — and, for
+//! the listening side, the accept loop the servers share.
 //!
 //! Every outbound TCP connection in the system goes through here: the
 //! gateway's backend pool, its health probes, the `hbtl` client
@@ -9,7 +10,10 @@
 
 use crate::wire::{self, ClientMsg, ServerMsg};
 use std::io::{BufReader, BufWriter};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
 /// How hard to try before giving up on an address.
@@ -167,6 +171,58 @@ pub fn dial(addr: &str, policy: &RetryPolicy) -> Result<Dialed, String> {
     })
 }
 
+// ---- the listening side ---------------------------------------------------
+
+/// Joins and forgets the connection threads that have already returned.
+fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < threads.len() {
+        if threads[i].is_finished() {
+            let _ = threads.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// The accept loop the monitor and the gateway share: every connection
+/// gets a thread running `conn`, which returns `true` when its client
+/// asked the whole server to stop. Threads that have finished are
+/// reaped on each accept, so a long-lived server under connection churn
+/// keeps handles only for the connections still open; the rest are
+/// joined before this returns.
+pub fn accept_loop<F>(listener: TcpListener, conn: F) -> std::io::Result<()>
+where
+    F: Fn(TcpStream) -> bool + Send + Sync + 'static,
+{
+    let addr = listener.local_addr()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let conn = Arc::new(conn);
+    let mut threads = Vec::new();
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let stream = stream?;
+        // Small request/reply frames; Nagle would stall each exchange on
+        // a delayed-ACK round trip.
+        let _ = stream.set_nodelay(true);
+        reap_finished(&mut threads);
+        let (stop, conn) = (Arc::clone(&stop), Arc::clone(&conn));
+        threads.push(std::thread::spawn(move || {
+            if conn(stream) {
+                stop.store(true, Ordering::SeqCst);
+                // Unblock the accept loop.
+                let _ = TcpStream::connect(addr);
+            }
+        }));
+    }
+    for t in threads {
+        let _ = t.join();
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,5 +265,46 @@ mod tests {
         };
         let err = connect_with_retry("127.0.0.1:1", &p).unwrap_err();
         assert!(err.contains("after 2 attempts"), "{err}");
+    }
+
+    /// The accept loop's bookkeeping under churn: each cycle is one
+    /// connection that ends at once; the client reads to EOF, so the
+    /// next cycle starts only after the server side let go.
+    #[test]
+    fn finished_connection_threads_are_reaped_under_churn() {
+        use std::io::Read;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut threads = Vec::new();
+        for _ in 0..1000 {
+            let mut client = TcpStream::connect(addr).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            reap_finished(&mut threads);
+            threads.push(std::thread::spawn(move || drop(stream)));
+            assert_eq!(client.read_to_end(&mut Vec::new()).unwrap(), 0);
+        }
+        assert!(threads.len() <= 8, "{} handles retained", threads.len());
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn accept_loop_serves_until_a_connection_asks_to_stop() {
+        use std::io::{Read, Write};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A connection asks the server to stop by sending `!`.
+        let server = std::thread::spawn(move || {
+            accept_loop(listener, |mut stream| {
+                let mut byte = [0u8; 1];
+                matches!(stream.read(&mut byte), Ok(1)) && byte[0] == b'!'
+            })
+        });
+        for _ in 0..3 {
+            TcpStream::connect(addr).unwrap().write_all(b".").unwrap();
+        }
+        TcpStream::connect(addr).unwrap().write_all(b"!").unwrap();
+        server.join().unwrap().unwrap();
     }
 }

@@ -87,6 +87,65 @@ pub fn negotiate_version(version: u32, max: u32) -> Result<u32, String> {
     }
 }
 
+/// The version gate: what a `peer` (`"monitor"`, `"gateway"`) whose
+/// highest protocol version is `version` answers to `msg` **instead of**
+/// handling it, or `None` when that version knows the message.
+///
+/// Servers emulating an older build (their `wire_version` knob) call
+/// this on every client frame, so which message needs which version —
+/// and what the older parser would have said — is decided here and
+/// nowhere else. A frame type the old decoder never had is answered the
+/// way its parser would: `unknown client message '<type>'`, no session,
+/// no kind. An `open` carrying a newer feature gets a machine-readable
+/// [`error_kind`], so dialers can classify the downgrade without
+/// scraping message text; for `dist` that is deliberately louder than a
+/// real pre-v5 parser, which would silently ignore the key and open a
+/// plain session — a correctness hazard, not a degradation.
+pub fn refusal(version: u32, peer: &str, msg: &ClientMsg) -> Option<ServerMsg> {
+    let unknown = |tag: &str| ServerMsg::Error {
+        session: None,
+        kind: None,
+        message: format!("unknown client message '{tag}'"),
+    };
+    let unsupported = |session: &str, kind: &str, what: &str, needs: u32| ServerMsg::Error {
+        session: Some(session.to_string()),
+        kind: Some(kind.to_string()),
+        message: format!("{what} need wire v{needs}; this {peer} speaks v{version}"),
+    };
+    match msg {
+        ClientMsg::Events { .. } if version < 3 => Some(unknown("events")),
+        ClientMsg::DistEvent { .. } if version < 5 => Some(unknown("dist-event")),
+        ClientMsg::SliceUpdate { .. } if version < 5 => Some(unknown("slice-update")),
+        ClientMsg::Open {
+            session,
+            predicates,
+            ..
+        } if version < 4
+            && predicates
+                .iter()
+                .any(|p| p.mode == WireMode::Pattern || p.pattern.is_some()) =>
+        {
+            Some(unsupported(
+                session,
+                error_kind::UNSUPPORTED_PREDICATE,
+                "pattern predicates",
+                4,
+            ))
+        }
+        ClientMsg::Open {
+            session,
+            dist: Some(_),
+            ..
+        } if version < 5 => Some(unsupported(
+            session,
+            error_kind::UNSUPPORTED_DISTRIBUTION,
+            "distributed sessions",
+            5,
+        )),
+        _ => None,
+    }
+}
+
 /// How a wire predicate combines its clauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireMode {
@@ -392,6 +451,27 @@ pub enum ClientMsg {
     Stats,
     /// Asks the whole service to shut down gracefully.
     Shutdown,
+}
+
+impl ClientMsg {
+    /// The session this message addresses; `None` for the
+    /// connection-level messages (`hello`, `drain`, `stats`,
+    /// `shutdown`), which a server answers without touching a session.
+    pub fn session(&self) -> Option<&str> {
+        match self {
+            ClientMsg::Open { session, .. }
+            | ClientMsg::Event { session, .. }
+            | ClientMsg::Events { session, .. }
+            | ClientMsg::DistEvent { session, .. }
+            | ClientMsg::SliceUpdate { session, .. }
+            | ClientMsg::FinishProcess { session, .. }
+            | ClientMsg::Close { session } => Some(session),
+            ClientMsg::Hello { .. }
+            | ClientMsg::Drain { .. }
+            | ClientMsg::Stats
+            | ClientMsg::Shutdown => None,
+        }
+    }
 }
 
 /// Messages the monitor sends to a client.
@@ -1418,6 +1498,181 @@ mod tests {
         assert!(err.contains("1 through 2"), "{err}");
         assert!(negotiate_version(0, WIRE_VERSION).is_err());
         assert!(negotiate_version(WIRE_VERSION + 1, WIRE_VERSION).is_err());
+    }
+
+    fn sample_open(
+        mode: WireMode,
+        pattern: Option<WirePattern>,
+        dist: Option<WireDistRole>,
+    ) -> ClientMsg {
+        ClientMsg::Open {
+            session: "s".into(),
+            processes: 1,
+            vars: vec!["x".into()],
+            initial: vec![],
+            predicates: vec![WirePredicate {
+                id: "p".into(),
+                mode,
+                clauses: vec![],
+                pattern,
+            }],
+            dist,
+        }
+    }
+
+    fn sample_pattern() -> WirePattern {
+        WirePattern {
+            atoms: vec![WireAtom {
+                process: None,
+                var: "x".into(),
+                op: "=".into(),
+                value: 1,
+                causal: false,
+            }],
+        }
+    }
+
+    /// `(first version that handles a message, error kind, error text)`.
+    type Older = (u32, Option<&'static str>, &'static str);
+
+    /// One sample of every client message — `open` in each of its
+    /// version-relevant shapes — with the first wire version whose
+    /// peers handle it and what older peers answer instead: the error
+    /// kind (typed refusals name the session, parser errors neither)
+    /// and the text, `{v}` standing for the refusing peer's version.
+    fn gated_samples() -> Vec<(ClientMsg, Older)> {
+        let (open, pattern) = (sample_open, sample_pattern());
+        let event = EventFrame {
+            p: 0,
+            clock: vec![1],
+            set: BTreeMap::new(),
+        };
+        let session = || "s".to_string();
+        let no_pattern = (
+            4,
+            Some(error_kind::UNSUPPORTED_PREDICATE),
+            "pattern predicates need wire v4; this monitor speaks v{v}",
+        );
+        let no_dist = (
+            5,
+            Some(error_kind::UNSUPPORTED_DISTRIBUTION),
+            "distributed sessions need wire v5; this monitor speaks v{v}",
+        );
+        let distribute = Some(WireDistRole::Distribute { k: 2 });
+        let aggregator = Some(WireDistRole::Aggregator { k: 2 });
+        vec![
+            (ClientMsg::Hello { version: 5 }, (1, None, "")),
+            (
+                ClientMsg::Drain {
+                    backend: "b".into(),
+                },
+                (1, None, ""),
+            ),
+            (ClientMsg::Stats, (1, None, "")),
+            (ClientMsg::Shutdown, (1, None, "")),
+            (open(WireMode::Conjunctive, None, None), (1, None, "")),
+            (event.clone().into_event("s"), (1, None, "")),
+            (
+                ClientMsg::FinishProcess {
+                    session: session(),
+                    p: 0,
+                },
+                (1, None, ""),
+            ),
+            (ClientMsg::Close { session: session() }, (1, None, "")),
+            (
+                ClientMsg::Events {
+                    session: session(),
+                    events: vec![event.clone()],
+                },
+                (3, None, "unknown client message 'events'"),
+            ),
+            (
+                open(WireMode::Pattern, Some(pattern.clone()), None),
+                no_pattern,
+            ),
+            // A pattern body under a clause mode is still a pattern open.
+            (open(WireMode::Conjunctive, Some(pattern), None), no_pattern),
+            (open(WireMode::Conjunctive, None, distribute), no_dist),
+            (open(WireMode::Conjunctive, None, aggregator), no_dist),
+            (
+                ClientMsg::DistEvent {
+                    session: session(),
+                    seq: 0,
+                    event,
+                },
+                (5, None, "unknown client message 'dist-event'"),
+            ),
+            (
+                ClientMsg::SliceUpdate {
+                    session: session(),
+                    seq: 0,
+                    update: SliceUpdateBody::Close,
+                },
+                (5, None, "unknown client message 'slice-update'"),
+            ),
+        ]
+    }
+
+    #[test]
+    fn version_gate_answers_every_message_at_every_version() {
+        for (msg, (needs, kind, text)) in gated_samples() {
+            for version in MIN_WIRE_VERSION..=WIRE_VERSION {
+                let want = (version < needs).then(|| ServerMsg::Error {
+                    session: kind.map(|_| "s".to_string()),
+                    kind: kind.map(str::to_string),
+                    message: text.replace("{v}", &version.to_string()),
+                });
+                assert_eq!(
+                    refusal(version, "monitor", &msg),
+                    want,
+                    "{msg:?} at v{version}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_gate_names_the_refusing_peer_and_checks_patterns_first() {
+        let both = sample_open(
+            WireMode::Pattern,
+            Some(sample_pattern()),
+            Some(WireDistRole::Distribute { k: 2 }),
+        );
+        match refusal(3, "gateway", &both) {
+            Some(ServerMsg::Error { kind, message, .. }) => {
+                assert_eq!(kind.as_deref(), Some(error_kind::UNSUPPORTED_PREDICATE));
+                assert_eq!(
+                    message,
+                    "pattern predicates need wire v4; this gateway speaks v3"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+        match refusal(4, "gateway", &both) {
+            Some(ServerMsg::Error { kind, message, .. }) => {
+                assert_eq!(kind.as_deref(), Some(error_kind::UNSUPPORTED_DISTRIBUTION));
+                assert_eq!(
+                    message,
+                    "distributed sessions need wire v5; this gateway speaks v4"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_session_messages_name_a_session() {
+        for (msg, ..) in gated_samples() {
+            let connection_level = matches!(
+                msg,
+                ClientMsg::Hello { .. }
+                    | ClientMsg::Drain { .. }
+                    | ClientMsg::Stats
+                    | ClientMsg::Shutdown
+            );
+            assert_eq!(msg.session(), (!connection_level).then_some("s"), "{msg:?}");
+        }
     }
 
     #[test]
