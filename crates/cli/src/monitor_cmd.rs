@@ -4,7 +4,6 @@
 //! hbtl monitor serve <addr> [--shards N] [--capacity N] [--stats-every SECS]
 //!                   [--data-dir DIR] [--sync always|os|interval:<ms>]
 //!                   [--snapshot-every N] [--wire-version V] [--no-slice]
-//!                   [--par-threads N]
 //! hbtl monitor send <addr> <trace> --session NAME
 //!                   (--conj SPEC | --disj SPEC | --pattern SPEC)...
 //!                   [--seed S] [--window W] [--retry N]
@@ -30,12 +29,6 @@
 //! per-predicate filter counters plus a derived
 //! `slice.<pred>.reduction_ratio` (events in ÷ events reaching the
 //! detector).
-//!
-//! `--par-threads N` switches sessions to the `hb-par` parallel
-//! detectors and evaluates independent predicates of one delivery
-//! batch on N worker threads. Verdicts, witness cuts, and snapshot
-//! bytes are identical at every setting — snapshots written by a
-//! parallel server restore into a sequential one and vice versa.
 //!
 //! `send` replays a recorded trace as a live computation would emit it:
 //! a seeded causality-respecting shuffle of the events (bounded
@@ -207,13 +200,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         return Err("--sync and --snapshot-every need --data-dir".into());
     }
     let no_slice = take_switch(&mut rest, "--no-slice");
-    let par_threads = take_flag(&mut rest, "--par-threads")?
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| "bad --par-threads".to_string())
-        })
-        .transpose()?
-        .unwrap_or(0);
     // Compatibility-testing knob: serve as if this were an older build
     // (caps the handshake and refuses frames that version lacked).
     let wire_version = take_flag(&mut rest, "--wire-version")?
@@ -250,7 +236,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         limits: SessionLimits {
             buffer_capacity: capacity,
             slice: !no_slice,
-            parallel: par_threads,
             ..SessionLimits::default()
         },
         stats_interval: stats_every.map(Duration::from_secs),

@@ -323,3 +323,172 @@ fn restart_banner_reports_recovered_sessions() {
     let _ = read_frame::<_, ServerMsg>(&mut r);
     server.child.wait().expect("graceful exit");
 }
+
+/// The same crash on a wide session: 24 processes, with a conjunction
+/// spanning half of them, an unsatisfiable one over all of them, a
+/// disjunction and a pattern riding along — so recovery restores long
+/// per-process candidate queues and all three detector families, from
+/// a snapshot plus a WAL tail. Every conjunctive verdict after the
+/// restart is the offline detector's on the uninterrupted trace.
+#[test]
+fn sigkill_mid_wide_session_then_recover_matches_offline_oracle() {
+    use hb_sim::{random_computation, RandomSpec};
+    use hb_tracefmt::wire::{WireAtom, WirePattern};
+    const PROCESSES: usize = 24;
+
+    let comp = random_computation(RandomSpec {
+        processes: PROCESSES,
+        events_per_process: 16,
+        send_percent: 30,
+        value_range: 6,
+        seed: 0x9a7,
+    });
+    let x = comp.vars().lookup("x").expect("sim computations declare x");
+    let mut conjunctions: Vec<(String, Vec<(usize, i64)>)> = (0..3)
+        .map(|k| (format!("p{k}"), vec![(0, k), (1, k)]))
+        .collect();
+    conjunctions.push(("wide".into(), (0..PROCESSES / 2).map(|p| (p, 1)).collect()));
+    conjunctions.push(("nope".into(), (0..PROCESSES).map(|p| (p, -1)).collect()));
+    let expected: BTreeMap<String, WireVerdict> = conjunctions
+        .iter()
+        .map(|(id, clauses)| {
+            let goal = Conjunctive::new(
+                clauses
+                    .iter()
+                    .map(|&(p, v)| (p, LocalExpr::Cmp(x, CmpOp::Eq, v)))
+                    .collect(),
+            );
+            let verdict = match ef_linear(&comp, &goal).witness {
+                Some(least) => WireVerdict::Detected(least.counters().to_vec()),
+                None => WireVerdict::Impossible,
+            };
+            (id.clone(), verdict)
+        })
+        .collect();
+    // Guard against a degenerate fixture: both verdict kinds occur.
+    assert!(expected
+        .values()
+        .any(|v| matches!(v, WireVerdict::Detected(_))));
+    assert_eq!(expected["nope"], WireVerdict::Impossible);
+
+    let clause = |process: usize, value: i64| WireClause {
+        process,
+        var: "x".into(),
+        op: "=".into(),
+        value,
+    };
+    let mut predicates: Vec<WirePredicate> = conjunctions
+        .iter()
+        .map(|(id, clauses)| WirePredicate {
+            id: id.clone(),
+            mode: WireMode::Conjunctive,
+            clauses: clauses.iter().map(|&(p, v)| clause(p, v)).collect(),
+            pattern: None,
+        })
+        .collect();
+    predicates.push(WirePredicate {
+        id: "anyhigh".into(),
+        mode: WireMode::Disjunctive,
+        clauses: (0..6).map(|p| clause(p, 5)).collect(),
+        pattern: None,
+    });
+    predicates.push(WirePredicate {
+        id: "chain".into(),
+        mode: WireMode::Pattern,
+        clauses: vec![],
+        pattern: Some(WirePattern {
+            atoms: [2, 3]
+                .into_iter()
+                .map(|value| WireAtom {
+                    process: None,
+                    var: "x".into(),
+                    op: "=".into(),
+                    value,
+                    causal: false,
+                })
+                .collect(),
+        }),
+    });
+
+    let data_dir = fresh_dir("sigkill-wide");
+    let order = causal_shuffle(&comp, 0x9a7a11e1, 8);
+    let (first_half, second_half) = order.split_at(order.len() / 2);
+    let mut verdicts: BTreeMap<String, WireVerdict> = BTreeMap::new();
+
+    let server = spawn_server(&data_dir);
+    {
+        let (mut w, mut r) = connect(&server.addr);
+        write_frame(
+            &mut w,
+            &ClientMsg::Open {
+                session: "crash".into(),
+                processes: PROCESSES,
+                vars: vec!["x".into()],
+                initial: vec![],
+                predicates,
+                dist: None,
+            },
+        )
+        .expect("open frame");
+        assert!(matches!(recv(&mut r), ServerMsg::Opened { .. }));
+        for e in first_half {
+            write_frame(&mut w, &event_msg(&comp, *e)).expect("event frame");
+        }
+        // The stats reply is the durability barrier (see above);
+        // verdicts that settle inside the first half arrive before it.
+        write_frame(&mut w, &ClientMsg::Stats).expect("stats frame");
+        loop {
+            match recv(&mut r) {
+                ServerMsg::Stats { .. } => break,
+                ServerMsg::Verdict {
+                    predicate, verdict, ..
+                } => assert!(verdicts.insert(predicate, verdict).is_none()),
+                other => panic!("unexpected message before stats: {other:?}"),
+            }
+        }
+    }
+    let mut child = server.child;
+    child.kill().expect("sigkill");
+    child.wait().expect("reap");
+    drop(server.stderr);
+
+    let mut server = spawn_server(&data_dir);
+    let (mut w, mut r) = connect(&server.addr);
+    for e in second_half {
+        write_frame(&mut w, &event_msg(&comp, *e)).expect("event frame");
+    }
+    write_frame(
+        &mut w,
+        &ClientMsg::Close {
+            session: "crash".into(),
+        },
+    )
+    .expect("close frame");
+    loop {
+        match recv(&mut r) {
+            ServerMsg::Verdict {
+                predicate, verdict, ..
+            } => {
+                // Recovery re-announces what settled before the crash;
+                // it must say the same thing.
+                if let Some(before) = verdicts.insert(predicate.clone(), verdict.clone()) {
+                    assert_eq!(before, verdict, "{predicate}");
+                }
+            }
+            ServerMsg::Closed { discarded, .. } => {
+                assert_eq!(discarded, 0, "the shuffle is a permutation");
+                break;
+            }
+            ServerMsg::Error { message, .. } => panic!("server error: {message}"),
+            other => panic!("unexpected message: {other:?}"),
+        }
+    }
+    assert_eq!(verdicts.len(), conjunctions.len() + 2);
+    for (id, want) in &expected {
+        assert_eq!(verdicts.get(id), Some(want), "{id}");
+    }
+
+    write_frame(&mut w, &ClientMsg::Shutdown).expect("shutdown frame");
+    let _ = read_frame::<_, ServerMsg>(&mut r);
+    server.child.wait().expect("graceful exit");
+}

@@ -259,16 +259,21 @@ fn mc_lattice(comp: &Computation) -> hb_lattice::CutLattice {
     hb_lattice::CutLattice::build(comp)
 }
 
-/// Streams a computation into the on-line conjunctive monitor in the
-/// lowest-index topological order.
-fn stream_online(comp: &Computation, p: &Conjunctive) -> hb_detect::online::OnlineVerdict {
-    use hb_detect::online::OnlineEfConjunctive;
+/// A fresh on-line conjunctive monitor for `p` at `comp`'s initial cut.
+fn fresh_online(comp: &Computation, p: &Conjunctive) -> hb_detect::online::OnlineEfConjunctive {
     let n = comp.num_processes();
     let participating: Vec<bool> = (0..n)
         .map(|i| p.clauses().iter().any(|c| c.process == i))
         .collect();
     let initially: Vec<bool> = (0..n).map(|i| p.clause_holds_at(comp, i, 0)).collect();
-    let mut m = OnlineEfConjunctive::new(n, participating, initially);
+    hb_detect::online::OnlineEfConjunctive::new(n, participating, initially)
+}
+
+/// Streams a computation into the on-line conjunctive monitor in the
+/// lowest-index topological order.
+fn stream_online(comp: &Computation, p: &Conjunctive) -> hb_detect::online::OnlineVerdict {
+    let n = comp.num_processes();
+    let mut m = fresh_online(comp, p);
     let mut cut = comp.initial_cut();
     let final_cut = comp.final_cut();
     while cut != final_cut {
@@ -299,6 +304,67 @@ proptest! {
             OnlineVerdict::Detected(cut) => {
                 prop_assert!(offline.holds, "{}", p.describe());
                 prop_assert_eq!(Some(cut), offline.witness, "{}", p.describe());
+            }
+            OnlineVerdict::Impossible => prop_assert!(!offline.holds, "{}", p.describe()),
+            OnlineVerdict::Pending => prop_assert!(false, "finished stream left Pending"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The wide shape (16–21 processes, clauses on most of them, a
+    /// random linearization): a detector that is exported and rebuilt
+    /// by `restore_monitor` after *every* observation tracks the
+    /// uninterrupted one export for export, and settles to the offline
+    /// least cut.
+    #[test]
+    fn online_ef_restored_at_every_boundary_matches_offline_wide(
+        n in 16usize..22,
+        ops in plan(22, 64),
+        spec in prop::collection::vec((0u8..6, 0i64..3), 1..22),
+        picks in prop::collection::vec(0usize..64, 1..16),
+    ) {
+        use hb_detect::online::{restore_monitor, OnlineMonitor, OnlineVerdict};
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|op| match op {
+                Op::Internal(p) => Op::Internal(p % n),
+                Op::Send(p) => Op::Send(p % n),
+                Op::Receive(p) => Op::Receive(p % n),
+            })
+            .collect();
+        let comp = build(n, &ops);
+        let p = conjunctive(&comp, &spec);
+        let mut whole = fresh_online(&comp, &p);
+        let mut hopping: Box<dyn OnlineMonitor + Send> = Box::new(fresh_online(&comp, &p));
+        let mut cut = comp.initial_cut();
+        let final_cut = comp.final_cut();
+        for step in 0.. {
+            if cut == final_cut {
+                break;
+            }
+            let enabled: Vec<usize> = (0..n).filter(|&i| comp.can_advance(&cut, i)).collect();
+            let i = enabled[picks[step % picks.len()] % enabled.len()];
+            let e = hb_computation::EventId::new(i, cut.get(i) as usize);
+            let holds = p.clause_holds_at(&comp, i, cut.get(i) + 1);
+            whole.observe(i, holds, comp.clock(e));
+            hopping.observe(i, holds, comp.clock(e));
+            let exported = hopping.export_state();
+            prop_assert_eq!(&exported, &OnlineMonitor::export_state(&whole), "after {}", e);
+            hopping = restore_monitor(&exported);
+            cut = cut.advanced(i);
+        }
+        for i in 0..n {
+            whole.finish_process(i);
+            hopping.finish_process(i);
+        }
+        prop_assert_eq!(hopping.export_state(), OnlineMonitor::export_state(&whole));
+        let offline = ef_linear(&comp, &p);
+        match hopping.verdict() {
+            OnlineVerdict::Detected(cut) => {
+                prop_assert_eq!(Some(cut), offline.witness.as_ref(), "{}", p.describe())
             }
             OnlineVerdict::Impossible => prop_assert!(!offline.holds, "{}", p.describe()),
             OnlineVerdict::Pending => prop_assert!(false, "finished stream left Pending"),

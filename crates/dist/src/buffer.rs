@@ -20,9 +20,9 @@
 //! hold space is bounded: at capacity, ingest either rejects the event
 //! (explicit backpressure — the transport should slow the producer) or
 //! drops it, per [`OverflowPolicy`]. An event whose clock shows it was
-//! already delivered (`V[p] <= delivered[p]`) is a **duplicate** and is
-//! rejected outright, making ingestion idempotent under at-least-once
-//! transports.
+//! already delivered (`V[p] <= delivered[p]`), or whose `(p, V[p])` is
+//! already held, is a **duplicate** and is rejected outright, making
+//! ingestion idempotent under at-least-once transports.
 
 use hb_vclock::VectorClock;
 use std::collections::VecDeque;
@@ -44,7 +44,8 @@ pub enum OverflowPolicy {
 /// Why an event was not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
-    /// The event's clock says it was already delivered.
+    /// The event's clock says it was already delivered, or a copy of it
+    /// is already held.
     Duplicate {
         /// The sending process.
         process: usize,
@@ -156,34 +157,40 @@ impl<T> CausalBuffer<T> {
     /// Rebuilds a buffer from persisted state: a delivered frontier and
     /// the held events (arrival order). Used by crash recovery; the
     /// high-water mark restarts at the restored backlog.
+    ///
+    /// A snapshot written before [`CausalBuffer::ingest`] refused
+    /// duplicates of held events can carry a second copy of one, or a
+    /// copy whose twin was delivered since. Neither can ever become
+    /// deliverable, so they are dropped here rather than resurrected.
     pub fn restore(
         delivered: Vec<u32>,
         held: Vec<(usize, VectorClock, T)>,
         capacity: usize,
         policy: OverflowPolicy,
     ) -> Self {
-        let mut held_by_source = vec![0u32; delivered.len()];
-        let held: VecDeque<Held<T>> = held
-            .into_iter()
-            .map(|(process, clock, payload)| {
-                held_by_source[process] += 1;
-                Held {
-                    process,
-                    clock,
-                    payload,
-                }
-            })
-            .collect();
-        let high_water = held.len();
-        CausalBuffer {
+        let mut b = CausalBuffer {
+            held: VecDeque::with_capacity(held.len()),
+            held_by_source: vec![0; delivered.len()],
             delivered,
-            held,
-            held_by_source,
             capacity,
             policy,
-            high_water,
+            high_water: 0,
             dropped: 0,
+        };
+        for (process, clock, payload) in held {
+            let seq = clock.get(process);
+            if seq <= b.delivered[process] || b.holds(process, seq) {
+                continue;
+            }
+            b.held_by_source[process] += 1;
+            b.held.push_back(Held {
+                process,
+                clock,
+                payload,
+            });
         }
+        b.high_water = b.held.len();
+        b
     }
 
     /// The held events in arrival order, for persistence.
@@ -221,6 +228,13 @@ impl<T> CausalBuffer<T> {
         &self.delivered
     }
 
+    /// Whether event `seq` of `process` is in the hold space.
+    fn holds(&self, process: usize, seq: u32) -> bool {
+        self.held
+            .iter()
+            .any(|h| h.process == process && h.clock.get(process) == seq)
+    }
+
     fn deliverable(&self, process: usize, clock: &VectorClock) -> bool {
         clock.get(process) == self.delivered[process] + 1
             && (0..self.width()).all(|j| j == process || clock.get(j) <= self.delivered[j])
@@ -256,7 +270,13 @@ impl<T> CausalBuffer<T> {
             return Ok(out);
         }
 
-        // Not deliverable yet: hold, within bounds.
+        // Not deliverable yet. A second copy of a held event must not be
+        // held too: once its twin is delivered it could never be, and
+        // would pin `held_from(process)` above zero for good.
+        if self.holds(process, seq) {
+            return Err(IngestError::Duplicate { process, seq });
+        }
+        // Hold, within bounds.
         if self.held.len() >= self.capacity {
             match self.policy {
                 OverflowPolicy::Reject => {
@@ -380,6 +400,38 @@ mod tests {
             b.ingest(0, vc(&[1, 0]), 1),
             Err(IngestError::Duplicate { .. })
         ));
+    }
+
+    #[test]
+    fn a_second_copy_of_a_held_event_is_a_duplicate() {
+        let mut b: CausalBuffer<u32> = CausalBuffer::new(2, 8, OverflowPolicy::Reject);
+        // P1's receive is held waiting for P0's send; an at-least-once
+        // client re-sends it.
+        assert!(b.ingest(1, vc(&[1, 1]), 7).unwrap().is_empty());
+        assert_eq!(
+            b.ingest(1, vc(&[1, 1]), 7).unwrap_err(),
+            IngestError::Duplicate { process: 1, seq: 1 }
+        );
+        assert_eq!(b.held(), 1);
+        // The send releases the one held copy and leaves nothing behind.
+        assert_eq!(b.ingest(0, vc(&[1, 0]), 3).unwrap().len(), 2);
+        assert_eq!((b.held(), b.held_from(1)), (0, 0));
+    }
+
+    #[test]
+    fn restore_drops_stale_and_duplicated_held_entries() {
+        // What a build without the check above could have persisted:
+        // P1's event 2 held twice, and a copy of its delivered event 1.
+        let held = vec![
+            (1, vc(&[1, 2]), 20),
+            (1, vc(&[1, 2]), 21),
+            (1, vc(&[0, 1]), 10),
+        ];
+        let mut r = CausalBuffer::restore(vec![0, 1], held, 8, OverflowPolicy::Reject);
+        assert_eq!((r.held(), r.held_from(1), r.high_water()), (1, 1, 1));
+        let d = r.ingest(0, vc(&[1, 0]), 1).unwrap();
+        assert_eq!(d.iter().map(|d| d.payload).collect::<Vec<_>>(), vec![1, 20]);
+        assert_eq!(r.held(), 0);
     }
 
     #[test]

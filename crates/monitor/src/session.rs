@@ -109,15 +109,6 @@ struct MonitorEntry {
     emitted: bool,
 }
 
-/// Minimum work units (`deliveries × live monitors`) in one ingest
-/// before the cross-monitor fan-out engages. The rayon shim spawns
-/// scoped OS threads per fan-out, so a single-delivery ingest (the
-/// common case under causal arrival order) must not pay a spawn; the
-/// parallel path earns its keep on the cascades a reordered stream
-/// releases. Both paths compute every observation through the same
-/// functions, so the threshold is a latency knob, not a semantic one.
-const PAR_MIN_BATCH_WORK: usize = 64;
-
 /// Limits and policy for a session's causal buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionLimits {
@@ -130,14 +121,6 @@ pub struct SessionLimits {
     /// leg. Filtering is monitor-local and verdict-invariant, so the
     /// setting never shows on the wire.
     pub slice: bool,
-    /// Worker threads for in-session parallel detection; `0` keeps
-    /// everything sequential. When set, sessions use the `hb-par`
-    /// detectors and evaluate independent monitors of one delivery
-    /// batch concurrently. Verdicts and exported detector state are
-    /// byte-identical at every setting — this is a latency knob, not a
-    /// semantic one — so snapshots cross-restore freely between
-    /// parallel and sequential services.
-    pub parallel: usize,
 }
 
 impl Default for SessionLimits {
@@ -146,7 +129,6 @@ impl Default for SessionLimits {
             buffer_capacity: 4096,
             policy: OverflowPolicy::Reject,
             slice: true,
-            parallel: 0,
         }
     }
 }
@@ -167,8 +149,6 @@ pub struct Session {
     monitor_finished: Vec<bool>,
     /// Delivered events (for stats and the e2e assertions).
     delivered: u64,
-    /// Worker threads for parallel detection (`SessionLimits.parallel`).
-    parallel: usize,
     /// Verdicts that settled already at open (initial-cut detections),
     /// waiting to be collected by the service.
     pending_initial: Vec<VerdictEvent>,
@@ -231,7 +211,7 @@ impl Session {
                 )));
             }
             if pred.mode == WireMode::Pattern {
-                let entry = Self::open_pattern(pred, processes, &vars, limits.parallel)?;
+                let entry = Self::open_pattern(pred, processes, &vars)?;
                 monitors.push(entry);
                 continue;
             }
@@ -289,20 +269,11 @@ impl Session {
             let monitor: Box<dyn OnlineMonitor + Send> = match pred.mode {
                 WireMode::Conjunctive => {
                     let participating: Vec<bool> = clauses.iter().map(Option::is_some).collect();
-                    if limits.parallel > 0 {
-                        Box::new(hb_par::ParOnlineMonitor::conjunctive(
-                            processes,
-                            participating,
-                            initially,
-                            limits.parallel,
-                        ))
-                    } else {
-                        Box::new(OnlineEfConjunctive::new(
-                            processes,
-                            participating,
-                            initially,
-                        ))
-                    }
+                    Box::new(OnlineEfConjunctive::new(
+                        processes,
+                        participating,
+                        initially,
+                    ))
                 }
                 WireMode::Disjunctive => Box::new(OnlineEfDisjunctive::new(processes, initially)),
                 WireMode::Pattern => unreachable!("handled above"),
@@ -332,7 +303,6 @@ impl Session {
             finished: vec![false; processes],
             monitor_finished: vec![false; processes],
             delivered: 0,
-            parallel: limits.parallel,
             pending_initial: Vec::new(),
         };
         // A predicate can already hold in the initial cut.
@@ -348,7 +318,6 @@ impl Session {
         pred: &WirePredicate,
         processes: usize,
         vars: &VarTable,
-        parallel: usize,
     ) -> Result<MonitorEntry, SessionError> {
         let bad = |m: String| SessionError::BadOpen(format!("predicate '{}': {m}", pred.id));
         if !pred.clauses.is_empty() {
@@ -394,9 +363,7 @@ impl Session {
             id: pred.id.clone(),
             clauses: Vec::new(),
             atoms: Some(atoms),
-            monitor: Box::new(
-                PredictiveMatcher::from_wire(processes, pattern).with_threads(parallel),
-            ),
+            monitor: Box::new(PredictiveMatcher::from_wire(processes, pattern)),
             slice: None,
             slice_reported: (0, 0),
             emitted: false,
@@ -504,11 +471,7 @@ impl Session {
             if entry.id != m.id {
                 return Err(shape("monitor order"));
             }
-            entry.monitor = if limits.parallel > 0 {
-                hb_par::restore_any_par(&m.state, limits.parallel)
-            } else {
-                hb_pattern::restore_any(&m.state)
-            };
+            entry.monitor = hb_pattern::restore_any(&m.state);
             entry.emitted = m.emitted;
             match (&mut entry.slice, &m.slice) {
                 (Some(f), Some(state)) => {
@@ -613,20 +576,13 @@ impl Session {
         let released = self.buffer.ingest(p, clock, updates)?;
         let mut verdicts = Vec::new();
         self.delivered += released.len() as u64;
-        let live = self.monitors.iter().filter(|e| !e.emitted).count();
-        if self.parallel > 1 && live > 1 && released.len() * live >= PAR_MIN_BATCH_WORK {
-            self.observe_deliveries_parallel(&released);
-        } else {
-            for d in &released {
-                for (var, value) in &d.payload {
-                    self.states[d.process].set(*var, *value);
-                }
-                for entry in &mut self.monitors {
-                    if entry.emitted {
-                        continue;
-                    }
-                    let obs = observation(entry, &self.states, d);
-                    apply_observation(entry, d, obs);
+        for d in &released {
+            for (var, value) in &d.payload {
+                self.states[d.process].set(*var, *value);
+            }
+            for entry in &mut self.monitors {
+                if !entry.emitted {
+                    observe_delivery(entry, &self.states, d);
                 }
             }
         }
@@ -635,54 +591,6 @@ impl Session {
         // already-finished process.
         self.forward_finishes(&mut verdicts);
         Ok(verdicts)
-    }
-
-    /// The micro-batched parallel observation path (`parallel > 1` and
-    /// at least two live monitors). Two phases:
-    ///
-    /// 1. **Sequential precompute** — advance the per-process local
-    ///    states delivery by delivery and record, for every live
-    ///    monitor, exactly the observation input the sequential path
-    ///    would have computed at that point (the atom mask or the
-    ///    clause value). Inputs depend only on the evolving session
-    ///    state, never on detector state.
-    /// 2. **Parallel apply** — each monitor replays its input sequence
-    ///    against its own detector (and slice filter) in delivery
-    ///    order. Monitors share nothing mutable, so the fan-out is
-    ///    race-free, and each monitor performs the identical mutation
-    ///    sequence the sequential path would — verdicts and exported
-    ///    state are byte-identical.
-    ///
-    /// Verdict collection stays where it always was: once per `event`
-    /// call, in monitor-index order, after every delivery is applied.
-    fn observe_deliveries_parallel(&mut self, released: &[Delivered<Vec<(VarId, i64)>>]) {
-        use rayon::prelude::*;
-        let mut inputs: Vec<Vec<Obs>> =
-            vec![Vec::with_capacity(released.len()); self.monitors.len()];
-        for d in released {
-            for (var, value) in &d.payload {
-                self.states[d.process].set(*var, *value);
-            }
-            for (m, entry) in self.monitors.iter().enumerate() {
-                if entry.emitted {
-                    continue;
-                }
-                inputs[m].push(observation(entry, &self.states, d));
-            }
-        }
-        let mut jobs: Vec<(&mut MonitorEntry, Vec<Obs>)> = self
-            .monitors
-            .iter_mut()
-            .zip(inputs)
-            .filter(|(e, _)| !e.emitted)
-            .collect();
-        hb_par::with_threads(self.parallel, || {
-            jobs.par_iter_mut().for_each(|(entry, obs)| {
-                for (d, &o) in released.iter().zip(obs.iter()) {
-                    apply_observation(entry, d, o);
-                }
-            });
-        });
     }
 
     /// Declares that process `p` will produce no further events.
@@ -762,26 +670,13 @@ impl Session {
     }
 }
 
-/// One monitor's observation input for one delivery: everything it
-/// needs from the session state, captured so the detector update can
-/// run off-thread (or inline — both paths go through this).
-#[derive(Clone, Copy)]
-enum Obs {
-    /// Pattern predicate: the atom mask matched against the event's
-    /// assignments.
-    Atoms(u64),
-    /// Regular predicate: the local clause's value on the sender's
-    /// post-delivery state.
-    Clause(bool),
-}
-
-/// Computes a monitor's observation input for one delivery. `states`
-/// must already reflect the delivery's assignments.
-fn observation(
-    entry: &MonitorEntry,
+/// Feeds one delivery to a monitor's slice filter and detector.
+/// `states` must already reflect the delivery's assignments.
+fn observe_delivery(
+    entry: &mut MonitorEntry,
     states: &[LocalState],
     d: &Delivered<Vec<(VarId, i64)>>,
-) -> Obs {
+) {
     if let Some(atoms) = &entry.atoms {
         // Pattern atoms match the event's assignments — the deltas,
         // not the accumulated state.
@@ -797,41 +692,25 @@ fn observation(
                 mask |= 1 << k;
             }
         }
-        Obs::Atoms(mask)
-    } else {
-        Obs::Clause(
-            entry.clauses[d.process]
-                .as_ref()
-                .is_some_and(|c| c.eval(&states[d.process])),
-        )
+        entry.monitor.observe_atoms(d.process, mask, &d.clock);
+        return;
     }
-}
-
-/// Feeds one precomputed observation to a monitor's slice filter and
-/// detector. Touches nothing but the entry itself.
-fn apply_observation(entry: &mut MonitorEntry, d: &Delivered<Vec<(VarId, i64)>>, obs: Obs) {
-    match obs {
-        Obs::Atoms(mask) => {
-            entry.monitor.observe_atoms(d.process, mask, &d.clock);
-        }
-        Obs::Clause(holds) => {
-            if let Some(filter) = &mut entry.slice {
-                let delta =
-                    filter.advance(d.process, d.payload.iter().map(|&(var, _)| var), || holds);
-                if delta.is_member() {
-                    // Flush the deferred skips first, so the detector
-                    // numbers this state exactly as an unfiltered run
-                    // would.
-                    let skipped = filter.take_pending(d.process);
-                    if skipped > 0 {
-                        entry.monitor.skip_states(d.process, skipped);
-                    }
-                    entry.monitor.observe(d.process, true, &d.clock);
-                }
-            } else {
-                entry.monitor.observe(d.process, holds, &d.clock);
+    let holds = entry.clauses[d.process]
+        .as_ref()
+        .is_some_and(|c| c.eval(&states[d.process]));
+    if let Some(filter) = &mut entry.slice {
+        let delta = filter.advance(d.process, d.payload.iter().map(|&(var, _)| var), || holds);
+        if delta.is_member() {
+            // Flush the deferred skips first, so the detector numbers
+            // this state exactly as an unfiltered run would.
+            let skipped = filter.take_pending(d.process);
+            if skipped > 0 {
+                entry.monitor.skip_states(d.process, skipped);
             }
+            entry.monitor.observe(d.process, true, &d.clock);
         }
+    } else {
+        entry.monitor.observe(d.process, holds, &d.clock);
     }
 }
 
@@ -1016,6 +895,37 @@ mod tests {
             s.event(0, vc(&[1, 0]), &set(&[("x0", 1)])),
             Err(SessionError::Ingest(IngestError::Duplicate { .. }))
         ));
+    }
+
+    /// An at-least-once client re-sends an event whose first copy is
+    /// still held. The copy is refused, so nothing stale outlives the
+    /// delivery: the finishes reach the detectors and the verdict
+    /// settles without `close`.
+    #[test]
+    fn duplicate_of_a_held_event_does_not_pin_the_session() {
+        let mut s = fig2_session();
+        // P1's receive arrives before P0's send and is held.
+        assert!(s
+            .event(1, vc(&[1, 1]), &set(&[("x1", 3)]))
+            .unwrap()
+            .is_empty());
+        assert!(matches!(
+            s.event(1, vc(&[1, 1]), &set(&[("x1", 3)])),
+            Err(SessionError::Ingest(IngestError::Duplicate {
+                process: 1,
+                seq: 1
+            }))
+        ));
+        assert_eq!(s.held(), 1);
+        // The send arrives; both deliver.
+        s.event(0, vc(&[1, 0]), &set(&[("x0", 2)])).unwrap();
+        assert_eq!((s.held(), s.delivered()), (0, 2));
+        // Only P1's finish can settle this: P0's clause holds.
+        let mut verdicts = s.finish_process(0).unwrap();
+        verdicts.extend(s.finish_process(1).unwrap());
+        assert_eq!(verdicts.len(), 1);
+        assert_eq!(verdicts[0].verdict, OnlineVerdict::Impossible);
+        assert_eq!(s.held(), 0);
     }
 
     #[test]
@@ -1456,86 +1366,5 @@ mod tests {
         let v = s.event(0, vc(&[2]), &set(&[("x", 2)])).unwrap();
         assert_eq!(v.len(), 1);
         assert!(matches!(v[0].verdict, OnlineVerdict::Detected(_)));
-    }
-
-    /// A cascade big enough to cross `PAR_MIN_BATCH_WORK` drives the
-    /// parallel cross-monitor fan-out, which must match the sequential
-    /// session verdict-for-verdict and snapshot-byte-for-byte.
-    #[test]
-    fn parallel_cascade_matches_sequential_session() {
-        let n = 16;
-        // Ten live monitors spanning all three observation kinds:
-        // seven never-settling conjunctions, one detecting conjunction,
-        // one disjunction, one pattern.
-        let mut predicates: Vec<WirePredicate> = (0..7)
-            .map(|k| {
-                pred(
-                    &format!("never{k}"),
-                    WireMode::Conjunctive,
-                    &(0..n).map(|p| (p, "x", "=", -1 - k)).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        predicates.push(pred(
-            "both1",
-            WireMode::Conjunctive,
-            &[(0, "x", "=", 1), (1, "x", "=", 1)],
-        ));
-        predicates.push(pred("anyhigh", WireMode::Disjunctive, &[(2, "x", "=", 5)]));
-        predicates.push(pattern_pred(
-            "chain",
-            &[(None, "x", 1, false), (None, "x", 2, false)],
-        ));
-        let open = |parallel: usize| {
-            Session::open(
-                "cascade",
-                n,
-                &["x".to_string()],
-                &[],
-                &predicates,
-                SessionLimits {
-                    parallel,
-                    ..SessionLimits::default()
-                },
-            )
-            .unwrap()
-        };
-        let mut par = open(4);
-        let mut seq = open(0);
-        // Every process p ≥ 1 emits one event causally after P0's
-        // (clock [1, 0, …, own=1, …]); fed first, all are held. P0's
-        // event then releases the whole cascade in one ingest:
-        // 16 deliveries × 10 live monitors = 160 ≥ PAR_MIN_BATCH_WORK.
-        let value_of = |p: usize| match p {
-            0 | 1 => 1,
-            2 => 5,
-            3 => 2,
-            _ => 9,
-        };
-        let mut feed = Vec::new();
-        for p in 1..n {
-            let mut c = vec![0u32; n];
-            c[0] = 1;
-            c[p] = 1;
-            feed.push((p, c));
-        }
-        let mut c0 = vec![0u32; n];
-        c0[0] = 1;
-        feed.push((0, c0));
-        for (p, clock) in feed {
-            let update = set(&[("x", value_of(p))]);
-            let vp = par.event(p, vc(&clock), &update).unwrap();
-            let vs = seq.event(p, vc(&clock), &update).unwrap();
-            assert_eq!(vp, vs);
-        }
-        assert!(par.delivered() >= 16, "cascade did not form");
-        let settled: Vec<&str> = par
-            .monitors
-            .iter()
-            .filter(|e| e.emitted)
-            .map(|e| e.id.as_str())
-            .collect();
-        assert_eq!(settled, ["both1", "anyhigh", "chain"]);
-        assert_eq!(par.snapshot(), seq.snapshot());
     }
 }

@@ -43,16 +43,6 @@ use hb_detect::online::{
 };
 use hb_tracefmt::wire::WirePattern;
 use hb_vclock::VectorClock;
-use rayon::prelude::*;
-
-/// Below this process count the parallel candidate scan falls back to
-/// the plain loop. The per-insert scan is `n` binary searches plus up
-/// to `n` clock joins of length `n`, and the rayon shim spawns scoped
-/// OS threads per fan-out (a spawn costs on the order of 10⁵ clock
-/// comparisons), so the fan-out only pays on very wide sessions;
-/// [`PredictiveMatcher::force_parallel`] bypasses the threshold so
-/// differential tests can cover the parallel path on small inputs.
-const PAR_MIN_SCAN_PROCESSES: usize = 192;
 
 /// One Pareto-frontier entry: the live form of [`PatternChainState`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,15 +91,6 @@ pub struct PredictiveMatcher {
     finished: Vec<bool>,
     seen: Vec<u32>,
     verdict: OnlineVerdict,
-    /// Fan-out for the per-process candidate scans (`hb-par` sets this
-    /// via [`PredictiveMatcher::with_threads`]); `0` and `1` keep every
-    /// scan on the calling thread. Pure configuration: not part of the
-    /// exported state, and no thread count changes a single byte of it.
-    threads: usize,
-    /// Bypasses the width threshold on the parallel scan (test hook;
-    /// see [`PredictiveMatcher::force_parallel`]). Configuration only,
-    /// like `threads`.
-    force: bool,
 }
 
 impl PredictiveMatcher {
@@ -139,28 +120,7 @@ impl PredictiveMatcher {
             finished: vec![false; n],
             seen: vec![0; n],
             verdict: OnlineVerdict::Pending,
-            threads: 0,
-            force: false,
         }
-    }
-
-    /// Enables parallel per-process candidate scans with the given
-    /// fan-out (`0`/`1` = stay sequential). The scans are read-only
-    /// searches whose results are applied in the sequential order, so
-    /// behavior and exported state are identical at any setting.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Engages the parallel candidate scan regardless of session width
-    /// (normally gated at `PAR_MIN_SCAN_PROCESSES` processes, where
-    /// one insert's scan work amortizes a shim thread spawn). For the
-    /// differential test battery; results are byte-identical either
-    /// way.
-    pub fn force_parallel(mut self, on: bool) -> Self {
-        self.force = on;
-        self
     }
 
     /// A matcher shaped by a wire pattern (the atoms' `causal` flags;
@@ -190,8 +150,6 @@ impl PredictiveMatcher {
             finished: s.finished.clone(),
             seen: s.seen.clone(),
             verdict: s.verdict.to_verdict(),
-            threads: 0,
-            force: false,
         }
     }
 
@@ -232,39 +190,21 @@ impl PredictiveMatcher {
                 self.verdict = OnlineVerdict::Detected(Cut::from_counters(ch.join));
                 return;
             }
-            // Eligibility is monotone along a process line (own
-            // components strictly increase, clocks grow pointwise), so
-            // the eligible candidates are a suffix; the first one
-            // dominates the rest. One binary search per process — the
-            // per-atom candidate scan — which is the fan-out unit of
-            // the parallel path: each process's search is independent
-            // and read-only, and the hits are pushed in process order
-            // either way, so the worklist (and everything downstream)
-            // is identical at any thread count.
-            let scan = |p: usize, list: &Vec<Vec<u32>>| -> Option<Chain> {
+            for p in 0..self.n {
+                let list = &self.candidates[s][p];
+                // Eligibility is monotone along a process line (own
+                // components strictly increase, clocks grow pointwise),
+                // so the eligible candidates are a suffix; the first
+                // one dominates the rest.
                 let first = list.partition_point(|c| !eligible(&ch, p, c, self.causal[s]));
-                list.get(first).map(|c| Chain {
-                    join: join(&ch.join, c),
-                    last: c.clone(),
-                })
-            };
-            if self.threads > 1 && (self.force || self.n >= PAR_MIN_SCAN_PROCESSES) {
-                let lists: Vec<(usize, &Vec<Vec<u32>>)> =
-                    self.candidates[s].iter().enumerate().collect();
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.threads)
-                    .build()
-                    .expect("shim pool build cannot fail");
-                let hits: Vec<Option<Chain>> =
-                    pool.install(|| lists.par_iter().map(|&(p, list)| scan(p, list)).collect());
-                for chain in hits.into_iter().flatten() {
-                    work.push((s + 1, chain));
-                }
-            } else {
-                for p in 0..self.n {
-                    if let Some(chain) = scan(p, &self.candidates[s][p]) {
-                        work.push((s + 1, chain));
-                    }
+                if let Some(c) = list.get(first) {
+                    work.push((
+                        s + 1,
+                        Chain {
+                            join: join(&ch.join, c),
+                            last: c.clone(),
+                        },
+                    ));
                 }
             }
         }

@@ -58,8 +58,17 @@ fn run_matcher(n: usize, causal: &[bool], events: &[PatternEvent]) -> OnlineVerd
 /// A generator-choice strategy: (process, optional receive source,
 /// atom mask) per event, masks restricted to the first `d` atoms.
 fn steps(max_events: usize, d: u32) -> impl Strategy<Value = Vec<(usize, Option<usize>, u64)>> {
+    steps_over(6, max_events, d)
+}
+
+/// [`steps`] with process picks spread over `procs` processes.
+fn steps_over(
+    procs: usize,
+    max_events: usize,
+    d: u32,
+) -> impl Strategy<Value = Vec<(usize, Option<usize>, u64)>> {
     prop::collection::vec(
-        (0usize..6, prop::option::of(0usize..64), 0u64..(1 << d)),
+        (0..procs, prop::option::of(0usize..64), 0u64..(1 << d)),
         1..=max_events,
     )
 }
@@ -94,6 +103,29 @@ proptest! {
         let expected = chain_oracle(causal, &events);
         let verdict = run_matcher(n, causal, &events);
         match verdict {
+            OnlineVerdict::Detected(_) => prop_assert!(expected, "matcher over-detects"),
+            OnlineVerdict::Impossible => prop_assert!(!expected, "matcher under-detects"),
+            OnlineVerdict::Pending => prop_assert!(false, "finished stream left Pending"),
+        }
+    }
+
+    /// The same agreement on the wide shape (16–21 processes, so one
+    /// frontier insert scans many candidate lists, most of them for
+    /// concurrent events) — against chain enumeration always, and
+    /// against true linearization enumeration wherever its budget
+    /// suffices.
+    #[test]
+    fn matcher_matches_both_oracles_on_wide_sessions(
+        n in 16usize..=21,
+        causal in edges(3),
+        steps in steps_over(21, 14, 3),
+    ) {
+        let events = build_trace(n, &steps);
+        let expected = chain_oracle(&causal, &events);
+        if let Some(by_linearizations) = linearization_oracle(&causal, &events, 200_000) {
+            prop_assert_eq!(expected, by_linearizations);
+        }
+        match run_matcher(n, &causal, &events) {
             OnlineVerdict::Detected(_) => prop_assert!(expected, "matcher over-detects"),
             OnlineVerdict::Impossible => prop_assert!(!expected, "matcher under-detects"),
             OnlineVerdict::Pending => prop_assert!(false, "finished stream left Pending"),

@@ -10,126 +10,13 @@
 /// The glob-import surface, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::IntoParallelRefIterator;
-    pub use crate::IntoParallelRefMutIterator;
 }
 
-use std::cell::Cell;
-use std::sync::OnceLock;
-
-thread_local! {
-    /// Per-thread worker-count override installed by [`ThreadPool::install`];
-    /// `0` means "no override".
-    static POOL_THREADS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// `RAYON_NUM_THREADS`, parsed once. `0`/absent/unparsable means "no cap".
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("RAYON_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0)
-    })
-}
-
-/// How many worker threads to fan out to. Precedence mirrors rayon:
-/// an installed [`ThreadPool`] on the current thread, then the
-/// `RAYON_NUM_THREADS` environment variable, then the machine.
+/// How many worker threads to fan out to.
 fn workers() -> usize {
-    let installed = POOL_THREADS.with(|c| c.get());
-    if installed > 0 {
-        return installed;
-    }
-    let env = env_threads();
-    if env > 0 {
-        return env;
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// The worker count the next parallel call on this thread will use.
-pub fn current_num_threads() -> usize {
-    workers()
-}
-
-/// Error type for [`ThreadPoolBuilder::build`] (the shim cannot fail).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("rayon shim thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`. The shim spawns scoped
-/// threads per call rather than keeping a pool resident, so the builder
-/// only records the requested width.
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// A builder with the default (machine-derived) width.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Caps the pool at `n` workers; `0` keeps the default.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
-        self
-    }
-
-    /// Builds the (stateless) pool handle.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            threads: self.num_threads,
-        })
-    }
-}
-
-/// A thread-pool handle: in the shim, just a worker-count override that
-/// [`ThreadPool::install`] scopes onto the calling thread.
-#[derive(Debug, Clone)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// Worker count parallel calls inside [`ThreadPool::install`] will use.
-    pub fn current_num_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            workers()
-        }
-    }
-
-    /// Runs `f` with this pool's width governing parallel calls made on
-    /// the *calling* thread (chunk fan-out is decided by the caller, so
-    /// nested calls made from worker threads fall back to the default —
-    /// a deliberate simplification of real rayon's work-stealing pool).
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                POOL_THREADS.with(|c| c.set(self.0));
-            }
-        }
-        let prev = POOL_THREADS.with(|c| c.get());
-        let _restore = Restore(prev);
-        if self.threads > 0 {
-            POOL_THREADS.with(|c| c.set(self.threads));
-        }
-        f()
-    }
 }
 
 /// Runs `f` over each element of `items`, in parallel chunks, preserving
@@ -149,32 +36,6 @@ where
         let handles: Vec<_> = items
             .chunks(chunk)
             .map(|part| s.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("rayon shim worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Runs `f` over each element of `items` by unique reference, in
-/// parallel chunks, preserving order; the per-item results are
-/// concatenated.
-fn chunked_map_mut<'data, T: Send, R: Send, F>(items: &'data mut [T], f: F) -> Vec<R>
-where
-    F: Fn(&'data mut T) -> R + Sync,
-{
-    let n = items.len();
-    let k = workers().min(n.max(1));
-    if k <= 1 || n < 2 {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk = n.div_ceil(k);
-    let mut results: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|part| s.spawn(|| part.iter_mut().map(&f).collect::<Vec<R>>()))
             .collect();
         for h in handles {
             results.push(h.join().expect("rayon shim worker panicked"));
@@ -240,76 +101,6 @@ impl<'data, T: Sync> ParIter<'data, T> {
     }
 }
 
-/// `par_iter_mut()` entry point for slices and vectors.
-pub trait IntoParallelRefMutIterator<'data> {
-    /// The element type.
-    type Item: Send + 'data;
-
-    /// A parallel iterator over unique references.
-    fn par_iter_mut(&'data mut self) -> ParIterMut<'data, Self::Item>;
-}
-
-impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
-    type Item = T;
-
-    fn par_iter_mut(&'data mut self) -> ParIterMut<'data, T> {
-        ParIterMut { items: self }
-    }
-}
-
-impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
-    type Item = T;
-
-    fn par_iter_mut(&'data mut self) -> ParIterMut<'data, T> {
-        ParIterMut { items: self }
-    }
-}
-
-/// A uniquely-borrowed parallel iterator.
-pub struct ParIterMut<'data, T> {
-    items: &'data mut [T],
-}
-
-impl<'data, T: Send> ParIterMut<'data, T> {
-    /// Parallel map over unique references.
-    pub fn map<R, F>(self, f: F) -> ParMapMut<'data, T, F>
-    where
-        R: Send,
-        F: Fn(&'data mut T) -> R + Sync,
-    {
-        ParMapMut {
-            items: self.items,
-            f,
-        }
-    }
-
-    /// Runs `f` on every element in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'data mut T) + Sync,
-    {
-        chunked_map_mut(self.items, f);
-    }
-}
-
-/// Pending parallel mutable map; `collect` runs it.
-pub struct ParMapMut<'data, T, F> {
-    items: &'data mut [T],
-    f: F,
-}
-
-impl<'data, T: Send, F> ParMapMut<'data, T, F> {
-    /// Executes the map and collects in input order.
-    pub fn collect<C, R>(self) -> C
-    where
-        R: Send,
-        F: Fn(&'data mut T) -> R + Sync,
-        C: FromIterator<R>,
-    {
-        chunked_map_mut(self.items, self.f).into_iter().collect()
-    }
-}
-
 /// Pending parallel map; `collect` runs it.
 pub struct ParMap<'data, T, F> {
     items: &'data [T],
@@ -365,42 +156,6 @@ mod tests {
         let out: Vec<u32> = v.par_iter().flat_map_iter(|&x| [x, x]).collect();
         let expected: Vec<u32> = (0..1000).flat_map(|x| [x, x]).collect();
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn map_mut_preserves_order_and_mutates() {
-        let mut v: Vec<u64> = (0..10_000).collect();
-        let old: Vec<u64> = v
-            .par_iter_mut()
-            .map(|x| {
-                let prev = *x;
-                *x += 1;
-                prev
-            })
-            .collect();
-        assert_eq!(old, (0..10_000).collect::<Vec<_>>());
-        assert_eq!(v, (1..=10_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn install_scopes_thread_count() {
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        let outer = crate::current_num_threads();
-        let inner = pool.install(crate::current_num_threads);
-        assert_eq!(inner, 3);
-        assert_eq!(crate::current_num_threads(), outer);
-        // Nested installs restore the enclosing width.
-        pool.install(|| {
-            let two = crate::ThreadPoolBuilder::new()
-                .num_threads(2)
-                .build()
-                .unwrap();
-            assert_eq!(two.install(crate::current_num_threads), 2);
-            assert_eq!(crate::current_num_threads(), 3);
-        });
     }
 
     #[test]
