@@ -21,8 +21,8 @@
 //! 10x sweep) near 1.0 confirms the pipeline stays O(1) per event.
 
 use hb_bench::report::{BenchReport, BenchRun};
-use hb_dist::{owner, DistAggregator, DistWorker, OverflowPolicy};
-use hb_monitor::{Session, SessionLimits};
+use hb_dist::{owner, OverflowPolicy};
+use hb_monitor::{DistAggregator, DistWorker, Session, SessionLimits};
 use hb_sim::{random_computation, random_linearization, RandomSpec};
 use hb_tracefmt::wire::{WireClause, WireMode, WirePredicate};
 use hb_vclock::VectorClock;

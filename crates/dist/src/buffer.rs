@@ -35,9 +35,9 @@ pub enum OverflowPolicy {
     /// should retry after draining deliveries (backpressure). Lossless.
     #[default]
     Reject,
-    /// Silently drop the newest event and count it. Lossy: a dropped
-    /// event's causal successors can never be delivered, so only use
-    /// this when monitoring best-effort over an unreliable feed.
+    /// Drop the newest event with [`IngestError::Dropped`]. Lossy: a
+    /// dropped event's causal successors can never be delivered, so only
+    /// use this when monitoring best-effort over an unreliable feed.
     DropNewest,
 }
 
@@ -136,8 +136,6 @@ pub struct CausalBuffer<T> {
     policy: OverflowPolicy,
     /// Most events ever held at once.
     high_water: usize,
-    /// Events dropped by [`OverflowPolicy::DropNewest`].
-    dropped: u64,
 }
 
 impl<T> CausalBuffer<T> {
@@ -150,7 +148,6 @@ impl<T> CausalBuffer<T> {
             capacity,
             policy,
             high_water: 0,
-            dropped: 0,
         }
     }
 
@@ -175,7 +172,6 @@ impl<T> CausalBuffer<T> {
             capacity,
             policy,
             high_water: 0,
-            dropped: 0,
         };
         for (process, clock, payload) in held {
             let seq = clock.get(process);
@@ -216,11 +212,6 @@ impl<T> CausalBuffer<T> {
     /// The most events ever held at once.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Events dropped under [`OverflowPolicy::DropNewest`].
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Per-process delivered counts (the buffer's consistent frontier).
@@ -284,10 +275,7 @@ impl<T> CausalBuffer<T> {
                         capacity: self.capacity,
                     })
                 }
-                OverflowPolicy::DropNewest => {
-                    self.dropped += 1;
-                    return Err(IngestError::Dropped);
-                }
+                OverflowPolicy::DropNewest => return Err(IngestError::Dropped),
             }
         }
         self.held.push_back(Held {
@@ -454,14 +442,13 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_policy_counts_losses() {
+    fn drop_newest_policy_refuses_without_holding() {
         let mut b: CausalBuffer<u32> = CausalBuffer::new(2, 1, OverflowPolicy::DropNewest);
         assert!(b.ingest(1, vc(&[1, 1]), 0).unwrap().is_empty());
         assert_eq!(
             b.ingest(1, vc(&[1, 2]), 0).unwrap_err(),
             IngestError::Dropped
         );
-        assert_eq!(b.dropped(), 1);
         assert_eq!(b.held(), 1);
     }
 

@@ -1,60 +1,26 @@
 //! # hb-dist
 //!
-//! Distributed online slice detection: the engines that let one
-//! monitored computation be detected by **several** monitor backends
-//! cooperating, in the style of Chauhan–Garg distributed slicing.
+//! What every member of a monitored session — plain, worker partition,
+//! aggregator — and the gateway that routes them share and nothing
+//! else: the [`CausalBuffer`] that restores causal delivery order, and
+//! the partition map of a distributed session ([`owner`],
+//! [`worker_session`]).
 //!
 //! A distributed session partitions the computation's processes across
 //! `k` *workers* — process `p` belongs to worker [`owner`]`(p, k)` —
-//! plus one *aggregator*. Each worker runs the slicing membership
-//! filter of `hb-slice` over its own processes only: it applies events
-//! in per-process position order, evaluates the registered conjunctive
-//! predicates' local clauses on the post-state, and emits one compact
-//! [`SliceUpdateBody`] per event carrying the slice-membership bits
-//! (which predicates' clauses hold). The aggregator consumes updates
-//! in gateway-assigned sequence order and replays, over those
-//! payloads, exactly the causal-delivery/detection pipeline a single
-//! backend would run — same [`CausalBuffer`], same deferred-skip
-//! bookkeeping, same verdict settle points — so the frames a client
-//! sees are **byte-identical** to a single-backend sliced session.
-//!
-//! The split mirrors the paper's observation that conjunctive
-//! predicates decompose into independent local clauses: clause truth
-//! is computed where the state lives (the worker owning the process),
-//! and only booleans cross the monitor-to-monitor wire. See
-//! `DESIGN.md` §15 for the protocol, the failover semantics, and the
-//! deliberate divergences from Chauhan–Garg.
-//!
-//! Three invariants carry the equivalence proof:
-//!
-//! 1. **One update per sequence number.** Every gateway-stamped frame
-//!    eventually produces exactly one update (a held process-order gap
-//!    is flushed on drain or at close), so the aggregator's contiguous
-//!    sequence processing never deadlocks.
-//! 2. **Position-order evaluation.** A worker applies events of one
-//!    process strictly in vector-clock position order, which is the
-//!    order any causal delivery presents them; local clause truth
-//!    depends on nothing else.
-//! 3. **Replica classification.** The aggregator never trusts a
-//!    worker's refusal beyond variable validation: duplicates, range
-//!    errors, and clock-width errors are re-derived from its own
-//!    [`CausalBuffer`], reproducing the single-backend error frames.
+//! plus one *aggregator*. The engines themselves live in `hb-monitor`,
+//! next to the single-backend session they are front-ends of: a worker
+//! is the session's slicing ingest filter without a buffer or a
+//! detector, the aggregator is the session's delivery pipeline fed
+//! membership bits instead of assignments. See `DESIGN.md` §15 for the
+//! protocol and the failover semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregator;
 pub mod buffer;
-mod compile;
-pub mod worker;
 
-pub use aggregator::{AggStep, AggregatorSnapshot, DistAggregator};
 pub use buffer::{CausalBuffer, Delivered, IngestError, OverflowPolicy};
-pub use compile::{compile_conjunctive, CompiledPredicate, CompiledSession};
-pub use worker::{DistWorker, WorkerSnapshot};
-
-use hb_tracefmt::wire::SliceUpdateBody;
-use std::fmt;
 
 /// The worker owning process `p` in a `k`-way partition.
 ///
@@ -76,49 +42,6 @@ pub fn worker_session(origin: &str, worker: usize) -> String {
     format!("{origin}#w{worker}")
 }
 
-/// Why a distributed engine refused an open or an update.
-///
-/// Mirrors the monitor's session error taxonomy — variant for variant
-/// and message for message — because aggregator errors are forwarded
-/// to clients verbatim and must be indistinguishable from a
-/// single-backend session's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DistError {
-    /// The open request was malformed (bad predicate, var, process…).
-    BadOpen(String),
-    /// An update referenced something undeclared or out of range.
-    BadEvent(String),
-    /// An event arrived for a process already declared finished.
-    AlreadyFinished(usize),
-    /// The replica causal buffer refused the event.
-    Ingest(IngestError),
-}
-
-impl fmt::Display for DistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DistError::BadOpen(m) => write!(f, "bad open: {m}"),
-            DistError::BadEvent(m) => write!(f, "bad event: {m}"),
-            DistError::AlreadyFinished(p) => {
-                write!(f, "bad event: process {p} already finished")
-            }
-            DistError::Ingest(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for DistError {}
-
-impl From<IngestError> for DistError {
-    fn from(e: IngestError) -> Self {
-        DistError::Ingest(e)
-    }
-}
-
-/// A `(sequence, update)` pair emitted by a worker, ready to be put on
-/// the wire as a `slice-update` frame.
-pub type SeqUpdate = (u64, SliceUpdateBody);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,21 +56,5 @@ mod tests {
     #[test]
     fn worker_sessions_are_decorated() {
         assert_eq!(worker_session("app", 2), "app#w2");
-    }
-
-    #[test]
-    fn dist_errors_format_like_session_errors() {
-        assert_eq!(
-            DistError::BadOpen("zero processes".into()).to_string(),
-            "bad open: zero processes"
-        );
-        assert_eq!(
-            DistError::AlreadyFinished(3).to_string(),
-            "bad event: process 3 already finished"
-        );
-        assert_eq!(
-            DistError::from(IngestError::Duplicate { process: 1, seq: 2 }).to_string(),
-            "duplicate event 2 of process 1"
-        );
     }
 }

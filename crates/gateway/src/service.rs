@@ -519,177 +519,178 @@ fn forward_frame(inner: &Arc<Inner>, e: &mut SessionEntry, frame: ClientMsg) {
     }
 }
 
-/// Journals one client frame of a *distributed* session and fans it
-/// out: events become seq-stamped `dist-event` frames for their owner
-/// worker, finishes and the close become sequenced updates for the
-/// aggregator, and a close reaches the workers first so their stranded
-/// holds flush before the aggregator's own close lands (the
-/// aggregator's seq reorder absorbs any transport race). Caller holds
-/// the entry lock.
-fn forward_dist_frame(inner: &Arc<Inner>, e: &mut SessionEntry, frame: ClientMsg) {
-    journal_frame(inner, e, frame.clone());
+/// Which member of a distributed session's partition a frame is for.
+#[derive(Clone, Copy, PartialEq)]
+enum Target {
+    Aggregator,
+    Worker(usize),
+}
+
+/// The frames one client frame of the `k`-way distributed session
+/// `name` becomes, in sending order — the one statement of the
+/// partition rule, read by the live fan-out and by failover replay.
+/// The open becomes the role-decorated opens; an event becomes a
+/// seq-stamped `dist-event` for its owner worker; a finish and the
+/// close become sequenced updates for the aggregator, the close
+/// reaching the workers first so their stranded holds flush before it
+/// lands (the aggregator's seq reorder absorbs any transport race).
+/// Every event (batched or not), finish, and the close consume exactly
+/// one seq from `next_seq`, in client-frame order.
+fn partition_frames(
+    frame: &ClientMsg,
+    next_seq: &mut u64,
+    k: usize,
+    name: &str,
+) -> Vec<(Target, ClientMsg)> {
+    let mut stamp = || {
+        *next_seq += 1;
+        *next_seq - 1
+    };
+    let to_owner = |seq: u64, event: EventFrame| {
+        let w = owner(event.p, k);
+        let session = worker_session(name, w);
+        let frame = ClientMsg::DistEvent {
+            session,
+            seq,
+            event,
+        };
+        (Target::Worker(w), frame)
+    };
+    let to_aggregator = |seq: u64, update: SliceUpdateBody| {
+        let session = name.to_string();
+        let frame = ClientMsg::SliceUpdate {
+            session,
+            seq,
+            update,
+        };
+        (Target::Aggregator, frame)
+    };
     match frame {
-        ClientMsg::Event { p, clock, set, .. } => {
-            send_dist_event(inner, e, EventFrame { p, clock, set });
-        }
-        ClientMsg::Events { events, .. } => {
-            for ev in events {
-                if e.closed_sent {
-                    return;
-                }
-                send_dist_event(inner, e, ev);
-            }
-        }
-        ClientMsg::FinishProcess { p, .. } => {
-            let dist = e.dist.as_mut().expect("caller checked dist");
-            let seq = dist.next_seq;
-            dist.next_seq += 1;
-            send_agg_update(inner, e, seq, SliceUpdateBody::Finish { p });
-        }
-        ClientMsg::Close { .. } => {
-            let dist = e.dist.as_mut().expect("caller checked dist");
-            let k = dist.k;
-            let seq = dist.next_seq;
-            dist.next_seq += 1;
-            for w in 0..k {
-                if e.closed_sent {
-                    return;
-                }
-                let (b, slot) = e.dist.as_ref().expect("caller checked dist").workers[w];
-                let close = ClientMsg::Close {
-                    session: worker_session(&e.name, w),
-                };
-                if send_to_backend(inner, b, slot, close).is_err() {
-                    report_backend_down(inner, b);
-                    reroute_partition(inner, e, w);
-                }
-            }
-            if !e.closed_sent {
-                send_agg_update(inner, e, seq, SliceUpdateBody::Close);
-            }
-        }
-        _ => unreachable!("only session frames reach the dist fan-out"),
-    }
-    if !e.closed_sent {
-        inner.metrics.frames_forwarded.fetch_add(1, Relaxed);
-    }
-}
-
-/// Stamps the next seq on one event and sends it to its owner worker;
-/// a dead worker backend triggers partition failover. Caller holds the
-/// entry lock.
-fn send_dist_event(inner: &Arc<Inner>, e: &mut SessionEntry, event: EventFrame) {
-    let dist = e.dist.as_mut().expect("caller checked dist");
-    let seq = dist.next_seq;
-    dist.next_seq += 1;
-    let w = owner(event.p, dist.k);
-    let (b, slot) = dist.workers[w];
-    let frame = ClientMsg::DistEvent {
-        session: worker_session(&e.name, w),
-        seq,
-        event,
-    };
-    if send_to_backend(inner, b, slot, frame).is_err() {
-        report_backend_down(inner, b);
-        // The partition replay re-derives this event from the journal
-        // (it was journaled before the fan-out), so nothing is lost.
-        reroute_partition(inner, e, w);
-    }
-}
-
-/// Sends one sequenced update to the session's aggregator; a dead
-/// aggregator backend drops the session. Caller holds the entry lock.
-fn send_agg_update(inner: &Arc<Inner>, e: &mut SessionEntry, seq: u64, update: SliceUpdateBody) {
-    let frame = ClientMsg::SliceUpdate {
-        session: e.name.clone(),
-        seq,
-        update,
-    };
-    if send_to_backend(inner, e.backend, e.slot, frame).is_err() {
-        report_backend_down(inner, e.backend);
-        reroute_session(inner, e); // dist → aggregator death → drop
-    }
-}
-
-/// Rebuilds the frame stream worker partition `w` must see — its
-/// worker open plus its share of the events, re-derived from the
-/// journaled *client* frames with the original seqs recomputed. Seq
-/// assignment is deterministic (one per event, finish, and close, in
-/// journal order), so the stream matches what the lost backend saw;
-/// the aggregator's seq watermark silently absorbs the re-emitted
-/// observations it has already applied.
-fn re_derive_partition(e: &SessionEntry, w: usize) -> Vec<ClientMsg> {
-    let dist = e.dist.as_ref().expect("caller checked dist");
-    let k = dist.k;
-    let dname = worker_session(&e.name, w);
-    let mut seq = 0u64;
-    let mut out = Vec::new();
-    let stamp = |seq: &mut u64| {
-        let s = *seq;
-        *seq += 1;
-        s
-    };
-    for frame in e.journal.frames() {
-        match frame {
-            ClientMsg::Open {
-                processes,
-                vars,
-                initial,
-                predicates,
-                ..
-            } => out.push(ClientMsg::Open {
-                session: dname.clone(),
+        ClientMsg::Open {
+            processes,
+            vars,
+            initial,
+            predicates,
+            ..
+        } => {
+            let open = |session: String, role: WireDistRole| ClientMsg::Open {
+                session,
                 processes: *processes,
                 vars: vars.clone(),
                 initial: initial.clone(),
                 predicates: predicates.clone(),
-                dist: Some(WireDistRole::Worker {
-                    origin: e.name.clone(),
-                    worker: w,
+                dist: Some(role),
+            };
+            let mut out = vec![(
+                Target::Aggregator,
+                open(name.to_string(), WireDistRole::Aggregator { k }),
+            )];
+            out.extend((0..k).map(|worker| {
+                let role = WireDistRole::Worker {
+                    origin: name.to_string(),
+                    worker,
                     k,
-                }),
-            }),
-            ClientMsg::Event { p, clock, set, .. } => {
-                let s = stamp(&mut seq);
-                if owner(*p, k) == w {
-                    out.push(ClientMsg::DistEvent {
-                        session: dname.clone(),
-                        seq: s,
-                        event: EventFrame {
-                            p: *p,
-                            clock: clock.clone(),
-                            set: set.clone(),
-                        },
-                    });
+                };
+                (
+                    Target::Worker(worker),
+                    open(worker_session(name, worker), role),
+                )
+            }));
+            out
+        }
+        ClientMsg::Event { p, clock, set, .. } => {
+            let event = EventFrame {
+                p: *p,
+                clock: clock.clone(),
+                set: set.clone(),
+            };
+            vec![to_owner(stamp(), event)]
+        }
+        ClientMsg::Events { events, .. } => events
+            .iter()
+            .map(|ev| to_owner(stamp(), ev.clone()))
+            .collect(),
+        ClientMsg::FinishProcess { p, .. } => {
+            vec![to_aggregator(stamp(), SliceUpdateBody::Finish { p: *p })]
+        }
+        ClientMsg::Close { .. } => {
+            let mut out: Vec<_> = (0..k)
+                .map(|w| {
+                    let session = worker_session(name, w);
+                    (Target::Worker(w), ClientMsg::Close { session })
+                })
+                .collect();
+            out.push(to_aggregator(stamp(), SliceUpdateBody::Close));
+            out
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// Journals one client frame of a *distributed* session — its open
+/// included — and sends what [`partition_frames`] makes of it. The
+/// journal records the client's own frame; the derived ones are
+/// recomputed at replay time. Caller holds the entry lock.
+fn forward_dist_frame(inner: &Arc<Inner>, e: &mut SessionEntry, frame: ClientMsg) {
+    let dist = e.dist.as_mut().expect("caller checked dist");
+    let frames = partition_frames(&frame, &mut dist.next_seq, dist.k, &e.name);
+    journal_frame(inner, e, frame);
+    if send_partition_frames(inner, e, frames) {
+        inner.metrics.frames_forwarded.fetch_add(1, Relaxed);
+    }
+}
+
+/// Sends partition frames in order until the session is gone; says
+/// whether it survived. A dead worker backend triggers partition
+/// failover — the replay re-derives the frame from the journal (it was
+/// journaled before the fan-out), so nothing is lost; a dead aggregator
+/// backend drops the session. Caller holds the entry lock.
+fn send_partition_frames(
+    inner: &Arc<Inner>,
+    e: &mut SessionEntry,
+    frames: Vec<(Target, ClientMsg)>,
+) -> bool {
+    for (target, frame) in frames {
+        if e.closed_sent {
+            return false;
+        }
+        match target {
+            Target::Worker(w) => {
+                let (b, slot) = e.dist.as_ref().expect("caller checked dist").workers[w];
+                if send_to_backend(inner, b, slot, frame).is_err() {
+                    report_backend_down(inner, b);
+                    reroute_partition(inner, e, w);
                 }
             }
-            ClientMsg::Events { events, .. } => {
-                for ev in events {
-                    let s = stamp(&mut seq);
-                    if owner(ev.p, k) == w {
-                        out.push(ClientMsg::DistEvent {
-                            session: dname.clone(),
-                            seq: s,
-                            event: ev.clone(),
-                        });
-                    }
+            Target::Aggregator => {
+                if send_to_backend(inner, e.backend, e.slot, frame).is_err() {
+                    report_backend_down(inner, e.backend);
+                    reroute_session(inner, e); // dist → aggregator death → drop
                 }
             }
-            // Finishes and the close consume a seq but travel to the
-            // aggregator, which never died (or we would not be here).
-            ClientMsg::FinishProcess { .. } => {
-                stamp(&mut seq);
-            }
-            ClientMsg::Close { .. } => {
-                stamp(&mut seq);
-                out.push(ClientMsg::Close {
-                    session: dname.clone(),
-                });
-            }
-            _ => {}
         }
     }
-    out
+    !e.closed_sent
+}
+
+/// Rebuilds the frame stream worker partition `w` must see — its
+/// worker open plus its share of the events — from the journaled
+/// *client* frames, with the original seqs recomputed: seq assignment
+/// is deterministic in journal order, so the stream matches what the
+/// lost backend saw; the aggregator's seq watermark silently absorbs
+/// the re-emitted observations it has already applied. (Finishes and
+/// the close consume a seq but travel to the aggregator, which never
+/// died, or we would not be here.)
+fn re_derive_partition(e: &SessionEntry, w: usize) -> Vec<ClientMsg> {
+    let k = e.dist.as_ref().expect("caller checked dist").k;
+    let mut seq = 0u64;
+    e.journal
+        .frames()
+        .iter()
+        .flat_map(|frame| partition_frames(frame, &mut seq, k, &e.name))
+        .filter(|(target, _)| *target == Target::Worker(w))
+        .map(|(_, frame)| frame)
+        .collect()
 }
 
 /// Re-places one worker partition on a healthy v5 backend and replays
@@ -968,7 +969,12 @@ fn dispatch(inner: &Arc<Inner>, msg: ServerMsg) {
                     return;
                 }
                 inner.metrics.dist_updates_relayed.fetch_add(1, Relaxed);
-                send_agg_update(inner, &mut e, seq, update);
+                let frame = ClientMsg::SliceUpdate {
+                    session,
+                    seq,
+                    update,
+                };
+                send_partition_frames(inner, &mut e, vec![(Target::Aggregator, frame)]);
             }
         }
         // Not session-routable: handshake echoes, stats replies on a
@@ -1307,19 +1313,12 @@ fn register_session(
 /// worker partitions over the healthy backends by rendezvous rank,
 /// verifies every involved backend speaks wire v5 (a pre-v5 monitor
 /// would silently drop the `dist` key and mis-open a plain session),
-/// and fans the client's open out into the role-decorated opens.
+/// and fans the client's open out like any other frame of the session.
 fn open_distributed(inner: &Arc<Inner>, sink: &Sender<ServerMsg>, msg: ClientMsg, k: usize) {
-    let ClientMsg::Open {
-        session: name,
-        processes,
-        vars,
-        initial,
-        predicates,
-        ..
-    } = msg.clone()
-    else {
+    let ClientMsg::Open { session: name, .. } = &msg else {
         unreachable!("caller matched an open");
     };
+    let name = name.clone();
     if k == 0 {
         client_error(
             inner,
@@ -1397,7 +1396,7 @@ fn open_distributed(inner: &Arc<Inner>, sink: &Sender<ServerMsg>, msg: ClientMsg
         closed_sent: false,
         dist: Some(DistState {
             k,
-            workers: workers.clone(),
+            workers,
             next_seq: 0,
         }),
     }));
@@ -1407,45 +1406,7 @@ fn open_distributed(inner: &Arc<Inner>, sink: &Sender<ServerMsg>, msg: ClientMsg
     inner.metrics.sessions_routed.fetch_add(1, Relaxed);
     inner.metrics.sessions_active.fetch_add(1, Relaxed);
     inner.metrics.dist_sessions_routed.fetch_add(1, Relaxed);
-    let mut e = entry.lock();
-    // The journal records the client's own open; the derived opens are
-    // recomputed at replay time, like the dist-events.
-    journal_frame(inner, &mut e, msg);
-    let agg_open = ClientMsg::Open {
-        session: name.clone(),
-        processes,
-        vars: vars.clone(),
-        initial: initial.clone(),
-        predicates: predicates.clone(),
-        dist: Some(WireDistRole::Aggregator { k }),
-    };
-    if send_to_backend(inner, agg_placement.0, agg_placement.1, agg_open).is_err() {
-        report_backend_down(inner, agg_placement.0);
-        reroute_session(inner, &mut e); // dist → drop with explanation
-        return;
-    }
-    for (w, &(b, slot)) in workers.iter().enumerate() {
-        let worker_open = ClientMsg::Open {
-            session: worker_session(&name, w),
-            processes,
-            vars: vars.clone(),
-            initial: initial.clone(),
-            predicates: predicates.clone(),
-            dist: Some(WireDistRole::Worker {
-                origin: name.clone(),
-                worker: w,
-                k,
-            }),
-        };
-        if send_to_backend(inner, b, slot, worker_open).is_err() {
-            report_backend_down(inner, b);
-            reroute_partition(inner, &mut e, w);
-            if e.closed_sent {
-                return;
-            }
-        }
-    }
-    inner.metrics.frames_forwarded.fetch_add(1, Relaxed);
+    forward_dist_frame(inner, &mut entry.lock(), msg);
 }
 
 /// The gateway's frame handler — the routing counterpart of

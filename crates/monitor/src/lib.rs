@@ -7,7 +7,7 @@
 //! temporal-logic verdicts — `EF φ` detected at its least satisfying
 //! cut, or impossible — while the computation is still running.
 //!
-//! Three layers, bottom up:
+//! The layers, bottom up:
 //!
 //! - [`buffer`] — per-session **causal delivery**: events may arrive in
 //!   any order consistent with transport reordering; a bounded hold
@@ -18,6 +18,11 @@
 //! - [`session`] — one monitored computation: variable namespace,
 //!   per-process local states, registered predicates, and one on-line
 //!   detector per predicate fed by the causal buffer.
+//! - [`worker`], [`aggregator`] — the same session cut in two for
+//!   distributed detection: workers run the session's slicing filter
+//!   over their share of the processes and ship membership bits, the
+//!   aggregator runs the session's buffer-and-detectors pipeline over
+//!   those bits. One private pipeline serves session and aggregator.
 //! - [`service`] — the shared runtime: sessions sharded across worker
 //!   threads, an in-process client handle, a TCP wire-protocol
 //!   transport (see [`hb_tracefmt::wire`]), atomic [`metrics`], and
@@ -29,17 +34,20 @@
 
 #![warn(missing_docs)]
 
-/// Per-session causal delivery buffering. The implementation moved to
-/// [`hb_dist`] so the distributed aggregator can replicate the exact
-/// single-backend hold/duplicate/overflow behavior; this alias keeps
-/// the monitor-side paths working.
+pub mod aggregator;
+/// Per-session causal delivery buffering. The implementation lives in
+/// [`hb_dist`], which the gateway and every session share; this alias
+/// keeps the monitor-side paths working.
 pub use hb_dist::buffer;
 mod member;
 pub mod metrics;
 pub mod persist;
+mod pipeline;
 pub mod service;
 pub mod session;
+pub mod worker;
 
+pub use aggregator::{AggStep, AggregatorSnapshot, DistAggregator};
 pub use buffer::{CausalBuffer, Delivered, IngestError, OverflowPolicy};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use persist::{
@@ -47,3 +55,4 @@ pub use persist::{
 };
 pub use service::{serve, MonitorConfig, MonitorHandle, MonitorService};
 pub use session::{Session, SessionError, SessionLimits, VerdictEvent};
+pub use worker::{DistWorker, WorkerSnapshot};

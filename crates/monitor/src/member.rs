@@ -3,20 +3,21 @@
 //! A plain session runs the whole detection pipeline on one backend. A
 //! distributed session is that same pipeline cut in two — worker
 //! partitions evaluate local clauses and ship slice observations, an
-//! aggregator replays them through a replica of the session's causal
-//! buffer and detectors — so all three are members of one map, driven
-//! by the same wire messages through [`Member::open`] and
+//! aggregator feeds them to the session's own causal buffer and
+//! detectors (`crate::pipeline`) — so all three are members of one
+//! map, driven by the same wire messages through [`Member::open`] and
 //! [`Member::apply`]. Nothing outside this `impl` asks which kind a
 //! member is; live ingest and WAL replay are the same calls.
 
+use crate::aggregator::{AggStep, DistAggregator};
 use crate::buffer::IngestError;
 use crate::metrics::Metrics;
 use crate::persist::{AggregatorSlotSnapshot, ServiceSnapshot, WorkerSlotSnapshot};
 use crate::session::{Session, SessionError, SessionLimits, VerdictEvent};
+use crate::worker::DistWorker;
 use hb_detect::online::OnlineVerdict;
-use hb_dist::{AggStep, DistAggregator, DistError, DistWorker};
 use hb_tracefmt::wire::{
-    error_kind, ClientMsg, ServerMsg, WireDistRole, WirePredicate, WireVerdict,
+    error_kind, ClientMsg, ServerMsg, SliceUpdateBody, WireDistRole, WirePredicate, WireVerdict,
 };
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
@@ -100,7 +101,10 @@ impl Out<'_> {
         }
     }
 
-    fn closed(&mut self, session: &str, discarded: u64) {
+    /// Reports a close: what force-settled, then `closed`.
+    fn closed(&mut self, session: &str, verdicts: Vec<VerdictEvent>, discarded: u64) {
+        self.metrics.events_discarded.fetch_add(discarded, Relaxed);
+        self.settle(session, verdicts);
         self.frames.push(ServerMsg::Closed {
             session: session.to_string(),
             discarded,
@@ -119,28 +123,6 @@ pub(crate) enum Member {
     /// A distributed session's aggregator, registered under the origin
     /// name — the member of the partition the client hears.
     Aggregator(DistAggregator),
-}
-
-/// The aggregator's error taxonomy mirrors the session's variant for
-/// variant and message for message, so its refusals are reported (and
-/// counted) through the same path.
-fn session_error(e: DistError) -> SessionError {
-    match e {
-        DistError::BadOpen(m) => SessionError::BadOpen(m),
-        DistError::BadEvent(m) => SessionError::BadEvent(m),
-        DistError::AlreadyFinished(p) => SessionError::AlreadyFinished(p),
-        DistError::Ingest(e) => SessionError::Ingest(e),
-    }
-}
-
-/// An aggregator's verdict in the session's shape; distributed sessions
-/// carry state predicates only.
-fn state_verdict((predicate, verdict): (String, OnlineVerdict)) -> VerdictEvent {
-    VerdictEvent {
-        predicate,
-        pattern: false,
-        verdict,
-    }
 }
 
 /// Drains slicing-filter counter deltas into the shared metrics. Called
@@ -180,7 +162,7 @@ fn ingest(
 
 /// Ships a worker's slice updates toward the aggregator, one frame per
 /// update.
-fn relay(origin: &str, updates: Vec<hb_dist::SeqUpdate>, out: &mut Out) {
+fn relay(origin: &str, updates: Vec<(u64, SliceUpdateBody)>, out: &mut Out) {
     out.metrics
         .dist_updates_relayed
         .fetch_add(updates.len() as u64, Relaxed);
@@ -200,13 +182,10 @@ fn emit(name: &str, steps: Vec<AggStep>, out: &mut Out) -> bool {
     let mut closed = false;
     for step in steps {
         match step {
-            AggStep::Verdict { predicate, verdict } => {
-                out.settle(name, vec![state_verdict((predicate, verdict))])
-            }
-            AggStep::Error(e) => out.failed(name, &session_error(e)),
+            AggStep::Verdict(v) => out.settle(name, vec![v]),
+            AggStep::Error(e) => out.failed(name, &e),
             AggStep::Closed { discarded } => {
-                out.metrics.events_discarded.fetch_add(discarded, Relaxed);
-                out.closed(name, discarded);
+                out.closed(name, Vec::new(), discarded);
                 closed = true;
             }
         }
@@ -233,7 +212,6 @@ impl Member {
             Some(WireDistRole::Worker { origin, worker, k }) => {
                 DistWorker::open(worker, k, processes, vars, initial, predicates)
                     .map(|engine| Member::Worker { origin, engine })
-                    .map_err(SessionError::BadOpen)
             }
             Some(WireDistRole::Aggregator { k }) => DistAggregator::open(
                 k,
@@ -244,8 +222,7 @@ impl Member {
                 limits.buffer_capacity,
                 limits.policy,
             )
-            .map(Member::Aggregator)
-            .map_err(session_error),
+            .map(Member::Aggregator),
             // The handle refuses this role before the WAL; only a log
             // it did not write can bring one here.
             Some(WireDistRole::Distribute { .. }) => {
@@ -259,11 +236,7 @@ impl Member {
         match self {
             Member::Plain(s) => s.take_initial_verdicts(),
             Member::Worker { .. } => Vec::new(),
-            Member::Aggregator(a) => a
-                .take_initial_verdicts()
-                .into_iter()
-                .map(state_verdict)
-                .collect(),
+            Member::Aggregator(a) => a.take_initial_verdicts(),
         }
     }
 
@@ -384,9 +357,7 @@ impl Member {
             Member::Plain(s) => {
                 let (verdicts, discarded) = s.close();
                 flush_slice_stats(s.take_slice_stats(), out.metrics);
-                out.metrics.events_discarded.fetch_add(discarded, Relaxed);
-                out.settle(name, verdicts);
-                out.closed(name, discarded);
+                out.closed(name, verdicts, discarded);
             }
             // The gateway closes the partitions before sending the
             // aggregator its close update, so stranded holds flush into
@@ -396,12 +367,16 @@ impl Member {
                 let discarded = flushed.len() as u64;
                 relay(origin, flushed, out);
                 flush_slice_stats(engine.take_slice_stats(), out.metrics);
-                out.closed(name, discarded);
+                out.frames.push(ServerMsg::Closed {
+                    session: name.to_string(),
+                    discarded,
+                });
             }
             // A plain close reaching the aggregator directly, not the
             // gateway's sequenced close update: close out of band.
             Member::Aggregator(a) => {
-                emit(name, a.close_now(), out);
+                let (verdicts, discarded) = a.close();
+                out.closed(name, verdicts, discarded);
             }
         }
     }
@@ -410,17 +385,13 @@ impl Member {
     /// re-attaching after a crash is told again.
     pub fn settled(&self, name: &str) -> Vec<ServerMsg> {
         let all = match self {
-            Member::Plain(s) => s
-                .all_verdicts()
-                .into_iter()
-                .map(|v| (v.predicate, v.verdict))
-                .collect(),
+            Member::Plain(s) => s.all_verdicts(),
             Member::Worker { .. } => Vec::new(),
             Member::Aggregator(a) => a.all_verdicts(),
         };
         all.into_iter()
-            .filter(|(_, verdict)| !matches!(verdict, OnlineVerdict::Pending))
-            .map(|(predicate, verdict)| verdict_frame(name, predicate, &verdict))
+            .filter(|v| !matches!(v.verdict, OnlineVerdict::Pending))
+            .map(|v| verdict_frame(name, v.predicate, &v.verdict))
             .collect()
     }
 

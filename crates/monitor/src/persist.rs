@@ -14,11 +14,12 @@
 //!
 //! [`ClientMsg`]: hb_tracefmt::wire::ClientMsg
 
+use crate::aggregator::AggregatorSnapshot;
+use crate::worker::WorkerSnapshot;
 use hb_detect::online::{
     CandidateState, ConjunctiveState, DetectorState, DisjunctiveState, PatternChainState,
     PatternState, VerdictState,
 };
-use hb_dist::{AggregatorSnapshot, WorkerSnapshot};
 use hb_slice::SliceState;
 use hb_store::SyncPolicy;
 use hb_tracefmt::wire::WirePredicate;
@@ -51,15 +52,17 @@ impl PersistConfig {
     }
 }
 
-/// One held (not yet causally deliverable) event.
+/// One held (not yet causally deliverable) event. `P` is the payload
+/// as persisted: a session's variable updates by name, an aggregator's
+/// membership bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeldEventSnapshot {
+pub struct HeldSnapshot<P> {
     /// The producing process.
     pub process: usize,
     /// The event's vector clock components.
     pub clock: Vec<u32>,
-    /// The event's variable updates, by name.
-    pub set: BTreeMap<String, i64>,
+    /// What the buffer held for the event.
+    pub payload: P,
 }
 
 /// One registered predicate's detector, frozen.
@@ -71,10 +74,32 @@ pub struct MonitorSnapshot {
     pub emitted: bool,
     /// The detector's exported state.
     pub state: DetectorState,
-    /// The slicing ingest filter's state, when the predicate was
-    /// sliced. Absent in pre-slicing snapshots and for unsliceable
-    /// predicates.
+    /// Per-process deliveries a membership filter kept from the
+    /// detector and has not yet flushed into it as skipped states.
+    /// Empty for a detector that is fed unfiltered.
+    pub pending: Vec<u64>,
+    /// The slicing ingest filter's state, when a plain session sliced
+    /// the predicate. Absent in pre-slicing snapshots, for unsliceable
+    /// predicates, and in an aggregator (its filters are the workers').
     pub slice: Option<SliceState>,
+}
+
+/// The delivery pipeline of a plain session or an aggregator, frozen:
+/// the half of their snapshots that is the same thing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PipelineSnapshot<P> {
+    /// The causal buffer's delivered frontier.
+    pub frontier: Vec<u32>,
+    /// Held events, in arrival order.
+    pub held: Vec<HeldSnapshot<P>>,
+    /// Client-declared stream ends.
+    pub finished: Vec<bool>,
+    /// Finishes already forwarded to the detectors.
+    pub monitor_finished: Vec<bool>,
+    /// Events delivered so far.
+    pub delivered: u64,
+    /// Each predicate's detector, in registration order.
+    pub monitors: Vec<MonitorSnapshot>,
 }
 
 /// One open session, frozen mid-run.
@@ -90,18 +115,9 @@ pub struct SessionSnapshot {
     pub predicates: Vec<WirePredicate>,
     /// Per-process local variable values, in id order.
     pub states: Vec<Vec<i64>>,
-    /// The causal buffer's delivered frontier.
-    pub frontier: Vec<u32>,
-    /// Held events, in arrival order.
-    pub held: Vec<HeldEventSnapshot>,
-    /// Client-declared stream ends.
-    pub finished: Vec<bool>,
-    /// Finishes already forwarded to the detectors.
-    pub monitor_finished: Vec<bool>,
-    /// Events delivered so far.
-    pub delivered: u64,
-    /// Each predicate's detector, in registration order.
-    pub monitors: Vec<MonitorSnapshot>,
+    /// Buffer, finishes and detectors; held payloads are the events'
+    /// variable updates, by name.
+    pub pipeline: PipelineSnapshot<BTreeMap<String, i64>>,
 }
 
 /// One distributed-session worker partition hosted by this backend,
@@ -342,46 +358,18 @@ fn detector_from_value(v: &Value) -> Result<DetectorState, DeError> {
     }
 }
 
-impl Serialize for HeldEventSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("process".into(), self.process.to_value()),
-            ("clock".into(), self.clock.to_value()),
-            ("set".into(), self.set.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for HeldEventSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        Ok(HeldEventSnapshot {
-            process: help::field(v, "process")?,
-            clock: help::field(v, "clock")?,
-            set: help::field_or_default(v, "set")?,
-        })
-    }
-}
-
-fn slice_to_value(s: &SliceState) -> Value {
-    Value::Object(vec![
-        ("holds".into(), s.holds.to_value()),
-        ("pending".into(), s.pending.to_value()),
-        ("events_in".into(), s.events_in.to_value()),
-        ("events_filtered".into(), s.events_filtered.to_value()),
-    ])
-}
-
 fn slice_from_value(v: &Value) -> Result<SliceState, DeError> {
     help::object(v)?;
     Ok(SliceState {
         holds: help::field(v, "holds")?,
-        pending: help::field(v, "pending")?,
         events_in: help::field_or_default(v, "events_in")?,
         events_filtered: help::field_or_default(v, "events_filtered")?,
     })
 }
 
+/// A plain session's sliced monitor nests its pending skips in the
+/// `slice` record; an aggregator's monitor carries them at the top
+/// level; an unfiltered monitor has none to write.
 impl Serialize for MonitorSnapshot {
     fn to_value(&self) -> Value {
         let mut fields = vec![
@@ -390,7 +378,17 @@ impl Serialize for MonitorSnapshot {
             ("state".into(), detector_to_value(&self.state)),
         ];
         if let Some(slice) = &self.slice {
-            fields.push(("slice".into(), slice_to_value(slice)));
+            fields.push((
+                "slice".into(),
+                Value::Object(vec![
+                    ("holds".into(), slice.holds.to_value()),
+                    ("pending".into(), self.pending.to_value()),
+                    ("events_in".into(), slice.events_in.to_value()),
+                    ("events_filtered".into(), slice.events_filtered.to_value()),
+                ]),
+            ));
+        } else if !self.pending.is_empty() {
+            fields.push(("pending".into(), self.pending.to_value()));
         }
         Value::Object(fields)
     }
@@ -399,6 +397,7 @@ impl Serialize for MonitorSnapshot {
 impl Deserialize for MonitorSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         help::object(v)?;
+        let slice = v.get("slice");
         Ok(MonitorSnapshot {
             id: help::field(v, "id")?,
             emitted: help::field(v, "emitted")?,
@@ -406,26 +405,78 @@ impl Deserialize for MonitorSnapshot {
                 v.get("state")
                     .ok_or_else(|| DeError::msg("missing field 'state'"))?,
             )?,
-            slice: v.get("slice").map(slice_from_value).transpose()?,
+            pending: match slice {
+                Some(slice) => help::field(slice, "pending")?,
+                None => help::field_or_default(v, "pending")?,
+            },
+            slice: slice.map(slice_from_value).transpose()?,
+        })
+    }
+}
+
+impl<P: Serialize> PipelineSnapshot<P> {
+    /// The pipeline's fields, in snapshot order. `payload` names a held
+    /// event's payload: `set` for assignments, `holds` for membership
+    /// bits.
+    fn to_fields(&self, payload: &str) -> Vec<(String, Value)> {
+        let held = self
+            .held
+            .iter()
+            .map(|h| {
+                Value::Object(vec![
+                    ("process".into(), h.process.to_value()),
+                    ("clock".into(), h.clock.to_value()),
+                    (payload.into(), h.payload.to_value()),
+                ])
+            })
+            .collect();
+        vec![
+            ("frontier".into(), self.frontier.to_value()),
+            ("held".into(), Value::Array(held)),
+            ("finished".into(), self.finished.to_value()),
+            ("monitor_finished".into(), self.monitor_finished.to_value()),
+            ("delivered".into(), self.delivered.to_value()),
+            ("monitors".into(), self.monitors.to_value()),
+        ]
+    }
+}
+
+impl<P: Deserialize + Default> PipelineSnapshot<P> {
+    fn from_fields(v: &Value, payload: &str) -> Result<Self, DeError> {
+        let held: Vec<Value> = help::field_or_default(v, "held")?;
+        let held = held
+            .iter()
+            .map(|h| {
+                help::object(h)?;
+                Ok(HeldSnapshot {
+                    process: help::field(h, "process")?,
+                    clock: help::field(h, "clock")?,
+                    payload: help::field_or_default(h, payload)?,
+                })
+            })
+            .collect::<Result<_, DeError>>()?;
+        Ok(PipelineSnapshot {
+            frontier: help::field_or_default(v, "frontier")?,
+            held,
+            finished: help::field_or_default(v, "finished")?,
+            monitor_finished: help::field_or_default(v, "monitor_finished")?,
+            delivered: help::field_or_default(v, "delivered")?,
+            monitors: help::field_or_default(v, "monitors")?,
         })
     }
 }
 
 impl Serialize for SessionSnapshot {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
+        let mut fields = vec![
             ("name".into(), self.name.to_value()),
             ("processes".into(), self.processes.to_value()),
             ("vars".into(), self.vars.to_value()),
             ("predicates".into(), self.predicates.to_value()),
             ("states".into(), self.states.to_value()),
-            ("frontier".into(), self.frontier.to_value()),
-            ("held".into(), self.held.to_value()),
-            ("finished".into(), self.finished.to_value()),
-            ("monitor_finished".into(), self.monitor_finished.to_value()),
-            ("delivered".into(), self.delivered.to_value()),
-            ("monitors".into(), self.monitors.to_value()),
-        ])
+        ];
+        fields.extend(self.pipeline.to_fields("set"));
+        Value::Object(fields)
     }
 }
 
@@ -438,12 +489,7 @@ impl Deserialize for SessionSnapshot {
             vars: help::field_or_default(v, "vars")?,
             predicates: help::field_or_default(v, "predicates")?,
             states: help::field_or_default(v, "states")?,
-            frontier: help::field_or_default(v, "frontier")?,
-            held: help::field_or_default(v, "held")?,
-            finished: help::field_or_default(v, "finished")?,
-            monitor_finished: help::field_or_default(v, "monitor_finished")?,
-            delivered: help::field_or_default(v, "delivered")?,
-            monitors: help::field_or_default(v, "monitors")?,
+            pipeline: PipelineSnapshot::from_fields(v, "set")?,
         })
     }
 }
@@ -498,28 +544,16 @@ impl Serialize for WorkerSlotSnapshot {
 impl Deserialize for WorkerSlotSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         help::object(v)?;
-        let filtered_value = v
-            .get("filtered")
-            .ok_or_else(|| DeError::msg("missing field 'filtered'"))?;
-        let Value::Array(filtered_values) = filtered_value else {
-            return Err(DeError::expected("array", filtered_value));
-        };
-        let mut filtered = Vec::with_capacity(filtered_values.len());
-        for fv in filtered_values {
+        let mut filtered = Vec::new();
+        for fv in &help::field::<Vec<Value>>(v, "filtered")? {
             help::object(fv)?;
             filtered.push((
                 help::field(fv, "events_in")?,
                 help::field(fv, "events_filtered")?,
             ));
         }
-        let held_value = v
-            .get("held")
-            .ok_or_else(|| DeError::msg("missing field 'held'"))?;
-        let Value::Array(held_values) = held_value else {
-            return Err(DeError::expected("array", held_value));
-        };
-        let mut held = Vec::with_capacity(held_values.len());
-        for hv in held_values {
+        let mut held = Vec::new();
+        for hv in &help::field::<Vec<Value>>(v, "held")? {
             help::object(hv)?;
             held.push((
                 help::field(hv, "seq")?,
@@ -549,113 +583,71 @@ impl Deserialize for WorkerSlotSnapshot {
 impl Serialize for AggregatorSlotSnapshot {
     fn to_value(&self) -> Value {
         let s = &self.snap;
-        Value::Object(vec![
+        let mut fields = vec![
             ("name".into(), self.name.to_value()),
             ("processes".into(), self.processes.to_value()),
             ("k".into(), s.k.to_value()),
             ("vars".into(), s.vars.to_value()),
             ("predicates".into(), s.predicates.to_value()),
-            ("frontier".into(), s.frontier.to_value()),
-            (
-                "held".into(),
+        ];
+        fields.extend(s.pipeline.to_fields("holds"));
+        fields.push(("next_seq".into(), s.next_seq.to_value()));
+        fields.push((
+            "reorder".into(),
+            Value::Array(
+                s.reorder
+                    .iter()
+                    .map(|(seq, update)| {
+                        Value::Object(vec![
+                            ("seq".into(), seq.to_value()),
+                            ("update".into(), update.to_value()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ));
+        // Written only when present, so an aggregator that never had an
+        // update refused for hold space snapshots as it always did.
+        if !s.kept.is_empty() {
+            fields.push((
+                "kept".into(),
                 Value::Array(
-                    s.held
+                    s.kept
                         .iter()
-                        .map(|(process, clock, holds)| {
+                        .map(|(process, seq, holds)| {
                             Value::Object(vec![
                                 ("process".into(), process.to_value()),
-                                ("clock".into(), clock.to_value()),
+                                ("seq".into(), seq.to_value()),
                                 ("holds".into(), holds.to_value()),
                             ])
                         })
                         .collect(),
                 ),
-            ),
-            ("finished".into(), s.finished.to_value()),
-            ("monitor_finished".into(), s.monitor_finished.to_value()),
-            ("delivered".into(), s.delivered.to_value()),
-            (
-                "monitors".into(),
-                Value::Array(
-                    s.monitors
-                        .iter()
-                        .map(|(id, emitted, state, pending)| {
-                            Value::Object(vec![
-                                ("id".into(), id.to_value()),
-                                ("emitted".into(), emitted.to_value()),
-                                ("state".into(), detector_to_value(state)),
-                                ("pending".into(), pending.to_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("next_seq".into(), s.next_seq.to_value()),
-            (
-                "reorder".into(),
-                Value::Array(
-                    s.reorder
-                        .iter()
-                        .map(|(seq, update)| {
-                            Value::Object(vec![
-                                ("seq".into(), seq.to_value()),
-                                ("update".into(), update.to_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+            ));
+        }
+        if !s.lost.is_empty() {
+            fields.push(("lost".into(), s.lost.to_value()));
+        }
+        Value::Object(fields)
     }
 }
 
 impl Deserialize for AggregatorSlotSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         help::object(v)?;
-        let held_value = v
-            .get("held")
-            .ok_or_else(|| DeError::msg("missing field 'held'"))?;
-        let Value::Array(held_values) = held_value else {
-            return Err(DeError::expected("array", held_value));
-        };
-        let mut held = Vec::with_capacity(held_values.len());
-        for hv in held_values {
-            help::object(hv)?;
-            held.push((
-                help::field(hv, "process")?,
-                help::field(hv, "clock")?,
-                help::field_or_default(hv, "holds")?,
-            ));
-        }
-        let monitors_value = v
-            .get("monitors")
-            .ok_or_else(|| DeError::msg("missing field 'monitors'"))?;
-        let Value::Array(monitor_values) = monitors_value else {
-            return Err(DeError::expected("array", monitors_value));
-        };
-        let mut monitors = Vec::with_capacity(monitor_values.len());
-        for mv in monitor_values {
-            help::object(mv)?;
-            monitors.push((
-                help::field(mv, "id")?,
-                help::field(mv, "emitted")?,
-                detector_from_value(
-                    mv.get("state")
-                        .ok_or_else(|| DeError::msg("missing field 'state'"))?,
-                )?,
-                help::field_or_default(mv, "pending")?,
-            ));
-        }
-        let reorder_value = v
-            .get("reorder")
-            .ok_or_else(|| DeError::msg("missing field 'reorder'"))?;
-        let Value::Array(reorder_values) = reorder_value else {
-            return Err(DeError::expected("array", reorder_value));
-        };
-        let mut reorder = Vec::with_capacity(reorder_values.len());
-        for rv in reorder_values {
+        let mut reorder = Vec::new();
+        for rv in &help::field::<Vec<Value>>(v, "reorder")? {
             help::object(rv)?;
             reorder.push((help::field(rv, "seq")?, help::field(rv, "update")?));
+        }
+        let mut kept = Vec::new();
+        for kv in &help::field_or_default::<Vec<Value>>(v, "kept")? {
+            help::object(kv)?;
+            kept.push((
+                help::field(kv, "process")?,
+                help::field(kv, "seq")?,
+                help::field_or_default(kv, "holds")?,
+            ));
         }
         Ok(AggregatorSlotSnapshot {
             name: help::field(v, "name")?,
@@ -664,14 +656,11 @@ impl Deserialize for AggregatorSlotSnapshot {
                 k: help::field(v, "k")?,
                 vars: help::field_or_default(v, "vars")?,
                 predicates: help::field_or_default(v, "predicates")?,
-                frontier: help::field_or_default(v, "frontier")?,
-                held,
-                finished: help::field_or_default(v, "finished")?,
-                monitor_finished: help::field_or_default(v, "monitor_finished")?,
-                delivered: help::field_or_default(v, "delivered")?,
-                monitors,
+                pipeline: PipelineSnapshot::from_fields(v, "holds")?,
                 next_seq: help::field_or_default(v, "next_seq")?,
                 reorder,
+                kept,
+                lost: help::field_or_default(v, "lost")?,
             },
         })
     }
@@ -735,78 +724,82 @@ mod tests {
                     pattern: None,
                 }],
                 states: vec![vec![1, 0], vec![0, 1]],
-                frontier: vec![2, 1],
-                held: vec![HeldEventSnapshot {
-                    process: 1,
-                    clock: vec![2, 3],
-                    set: [("x1".to_string(), 7i64)].into_iter().collect(),
-                }],
-                finished: vec![true, false],
-                monitor_finished: vec![false, false],
-                delivered: 3,
-                monitors: vec![
-                    MonitorSnapshot {
-                        id: "ef".into(),
-                        emitted: false,
-                        state: DetectorState::Conjunctive(ConjunctiveState {
-                            n: 2,
-                            queues: vec![
-                                vec![CandidateState {
-                                    state: 2,
-                                    clock: vec![2, 0],
-                                }],
-                                vec![],
-                            ],
-                            participating: vec![true, false],
-                            seen: vec![2, 1],
-                            finished: vec![false, false],
-                            verdict: VerdictState::Pending,
-                        }),
-                        slice: Some(SliceState {
-                            holds: vec![true, false],
+                pipeline: PipelineSnapshot {
+                    frontier: vec![2, 1],
+                    held: vec![HeldSnapshot {
+                        process: 1,
+                        clock: vec![2, 3],
+                        payload: [("x1".to_string(), 7i64)].into_iter().collect(),
+                    }],
+                    finished: vec![true, false],
+                    monitor_finished: vec![false, false],
+                    delivered: 3,
+                    monitors: vec![
+                        MonitorSnapshot {
+                            id: "ef".into(),
+                            emitted: false,
+                            state: DetectorState::Conjunctive(ConjunctiveState {
+                                n: 2,
+                                queues: vec![
+                                    vec![CandidateState {
+                                        state: 2,
+                                        clock: vec![2, 0],
+                                    }],
+                                    vec![],
+                                ],
+                                participating: vec![true, false],
+                                seen: vec![2, 1],
+                                finished: vec![false, false],
+                                verdict: VerdictState::Pending,
+                            }),
                             pending: vec![0, 3],
-                            events_in: 5,
-                            events_filtered: 3,
-                        }),
-                    },
-                    MonitorSnapshot {
-                        id: "any".into(),
-                        emitted: true,
-                        state: DetectorState::Disjunctive(DisjunctiveState {
-                            seen: vec![2, 1],
-                            live: 2,
-                            verdict: VerdictState::Detected(vec![2, 0]),
-                        }),
-                        slice: None,
-                    },
-                    MonitorSnapshot {
-                        id: "inv".into(),
-                        emitted: false,
-                        state: DetectorState::Pattern(PatternState {
-                            n: 2,
-                            causal: vec![false, true],
-                            frontiers: vec![
-                                vec![PatternChainState {
-                                    join: vec![0, 0],
-                                    last: vec![0, 0],
-                                }],
-                                vec![PatternChainState {
-                                    join: vec![2, 0],
-                                    last: vec![2, 0],
-                                }],
-                                vec![],
-                            ],
-                            candidates: vec![
-                                vec![vec![vec![2, 0]], vec![]],
-                                vec![vec![], vec![vec![1, 3]]],
-                            ],
-                            finished: vec![false, true],
-                            seen: vec![2, 1],
-                            verdict: VerdictState::Pending,
-                        }),
-                        slice: None,
-                    },
-                ],
+                            slice: Some(SliceState {
+                                holds: vec![true, false],
+                                events_in: 5,
+                                events_filtered: 3,
+                            }),
+                        },
+                        MonitorSnapshot {
+                            id: "any".into(),
+                            emitted: true,
+                            state: DetectorState::Disjunctive(DisjunctiveState {
+                                seen: vec![2, 1],
+                                live: 2,
+                                verdict: VerdictState::Detected(vec![2, 0]),
+                            }),
+                            pending: Vec::new(),
+                            slice: None,
+                        },
+                        MonitorSnapshot {
+                            id: "inv".into(),
+                            emitted: false,
+                            state: DetectorState::Pattern(PatternState {
+                                n: 2,
+                                causal: vec![false, true],
+                                frontiers: vec![
+                                    vec![PatternChainState {
+                                        join: vec![0, 0],
+                                        last: vec![0, 0],
+                                    }],
+                                    vec![PatternChainState {
+                                        join: vec![2, 0],
+                                        last: vec![2, 0],
+                                    }],
+                                    vec![],
+                                ],
+                                candidates: vec![
+                                    vec![vec![vec![2, 0]], vec![]],
+                                    vec![vec![], vec![vec![1, 3]]],
+                                ],
+                                finished: vec![false, true],
+                                seen: vec![2, 1],
+                                verdict: VerdictState::Pending,
+                            }),
+                            pending: Vec::new(),
+                            slice: None,
+                        },
+                    ],
+                },
             }],
             workers: Vec::new(),
             aggregators: Vec::new(),
@@ -832,7 +825,7 @@ mod tests {
 
     #[test]
     fn distributed_slots_round_trip_through_json() {
-        use hb_dist::{DistAggregator, DistWorker, OverflowPolicy};
+        use crate::{DistAggregator, DistWorker, OverflowPolicy};
         use hb_tracefmt::wire::SliceUpdateBody;
 
         let preds = vec![WirePredicate {
@@ -909,6 +902,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.snapshot(), snap.aggregators[0].snap);
+    }
+
+    /// A snapshot payload written by the build before the engines were
+    /// moved behind one pipeline (PR 14, `f414470`), byte for byte: a
+    /// sliced session mid-run with a held event and pending skips, a
+    /// pattern session, a worker with a held event, and an aggregator
+    /// with a held update, pending skips and a parked reorder entry. A
+    /// data directory that build left behind must recover under this
+    /// one, and this one must write what that one would read.
+    const GOLDEN_PR14: &str = r##"{"version":1,"sessions":[{"name":"plain","processes":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"states":[[1],[0,3]],"frontier":[1,1],"held":[{"process":1,"clock":[2,2],"set":{"x1":2}}],"finished":[false,false],"monitor_finished":[false,false],"delivered":2,"monitors":[{"id":"ef","emitted":false,"state":{"kind":"conjunctive","n":2,"queues":[[],[]],"participating":[true,true],"seen":[0,0],"finished":[false,false],"verdict":{"kind":"pending"}},"slice":{"holds":[false,false],"pending":[1,1],"events_in":2,"events_filtered":2}}]},{"name":"pat","processes":2,"vars":["unlock","lock"],"predicates":[{"id":"inversion","mode":"pattern","clauses":[],"pattern":{"atoms":[{"process":1,"var":"unlock","op":"=","value":1},{"process":0,"var":"lock","op":"=","value":1}]}}],"states":[[0,1],[]],"frontier":[1,0],"held":[],"finished":[false,false],"monitor_finished":[false,false],"delivered":1,"monitors":[{"id":"inversion","emitted":false,"state":{"kind":"pattern","n":2,"causal":[false,false],"frontiers":[[{"join":[0,0],"last":[0,0]}],[],[]],"candidates":[[[],[]],[[[1,0]],[]]],"finished":[false,false],"seen":[1,0],"verdict":{"kind":"pending"}}}]}],"workers":[{"name":"d#w0","origin":"d","worker":0,"k":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"states":[[2],[]],"counts":[1,0],"holds":[[true,false]],"filtered":[{"events_in":1,"events_filtered":0}],"held":[{"seq":3,"process":0,"clock":[3,0],"set":{"x0":5}}]}],"aggregators":[{"name":"d","processes":2,"k":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"frontier":[1,0],"held":[{"process":1,"clock":[2,1],"holds":[0]}],"finished":[false,false],"monitor_finished":[false,false],"delivered":1,"monitors":[{"id":"ef","emitted":false,"state":{"kind":"conjunctive","n":2,"queues":[[],[]],"participating":[true,true],"seen":[0,0],"finished":[false,false],"verdict":{"kind":"pending"}},"pending":[1,0]}],"next_seq":2,"reorder":[{"seq":3,"update":{"op":"finish","p":1}}]}]}"##;
+
+    #[test]
+    fn a_snapshot_written_by_the_previous_build_restores_and_rewrites_identically() {
+        let snap = ServiceSnapshot::from_json(GOLDEN_PR14.as_bytes()).unwrap();
+        assert_eq!(snap.to_json(), GOLDEN_PR14, "parse and re-serialize");
+        let limits = crate::SessionLimits {
+            buffer_capacity: 64,
+            ..Default::default()
+        };
+        let members = crate::member::Member::restore(&snap, limits).unwrap();
+        assert_eq!(members.len(), 4);
+        let mut back = ServiceSnapshot::default();
+        let metrics = crate::Metrics::default();
+        for (name, mut member) in members {
+            member.freeze(&name, &metrics, &mut back);
+        }
+        assert_eq!(back.to_json(), GOLDEN_PR14, "restore and re-freeze");
     }
 
     #[test]

@@ -1427,7 +1427,7 @@ mod tests {
             for worker in 0..k {
                 handle.submit(
                     fig2_dist_open(
-                        &format!("{origin}#w{worker}"),
+                        &hb_dist::worker_session(origin, worker),
                         WireDistRole::Worker {
                             origin: origin.into(),
                             worker,
@@ -1457,7 +1457,7 @@ mod tests {
             self.next_seq += 1;
             handle.submit(
                 ClientMsg::DistEvent {
-                    session: format!("{}#w{}", self.origin, hb_dist::owner(p, self.k)),
+                    session: hb_dist::worker_session(&self.origin, hb_dist::owner(p, self.k)),
                     seq,
                     event: wire::EventFrame {
                         p,

@@ -2,12 +2,13 @@
 //!
 //! A session is one monitored computation: a fixed process count, a
 //! variable namespace, and the set of predicates registered when the
-//! session opened. Events flow through the session's [`CausalBuffer`];
-//! each delivered event advances the per-process local state and is
-//! observed by every registered on-line detector. The session — not the
-//! detector — evaluates local clauses, so detectors see only
-//! `(process, holds, clock)` triples, mirroring what a distributed
-//! checker would ship over the network.
+//! session opened. Events flow through the session's delivery
+//! `Pipeline`; each delivered event advances the per-process local
+//! state and is observed by every registered on-line detector. The
+//! session — not the detector — evaluates local clauses, so detectors
+//! see only `(process, holds, clock)` triples — exactly what a
+//! distributed session's workers ship to its aggregator, which is why
+//! that aggregator is the same pipeline behind a different front-end.
 //!
 //! Verdicts are emitted exactly once per predicate, the moment they
 //! settle. [`Session::close`] force-settles everything: stranded held
@@ -15,14 +16,13 @@
 //! process is declared finished, and any predicate still pending
 //! becomes `Impossible`.
 
-use crate::buffer::{CausalBuffer, Delivered, IngestError, OverflowPolicy};
-use crate::persist::{HeldEventSnapshot, MonitorSnapshot, SessionSnapshot};
+use crate::buffer::{Delivered, IngestError, OverflowPolicy};
+use crate::persist::SessionSnapshot;
+use crate::pipeline::{validate, Body, Detector, Pipeline};
 use hb_computation::{LocalState, VarId, VarTable};
-use hb_detect::online::{OnlineEfConjunctive, OnlineEfDisjunctive, OnlineMonitor, OnlineVerdict};
-use hb_pattern::PredictiveMatcher;
-use hb_predicates::{CmpOp, LocalExpr};
+use hb_detect::online::OnlineVerdict;
 use hb_slice::SliceFilter;
-use hb_tracefmt::wire::{WireClause, WireMode, WirePredicate};
+use hb_tracefmt::wire::WirePredicate;
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,6 +42,11 @@ pub enum SessionError {
     AlreadyFinished(usize),
     /// The causal buffer refused the event.
     Ingest(IngestError),
+    /// A distributed session's aggregator was refusing updates for
+    /// lack of hold space faster than they were retried, ran out of
+    /// room to keep the refused updates' slice membership, and so can
+    /// no longer judge any update of this process.
+    MembershipLost(usize),
 }
 
 impl fmt::Display for SessionError {
@@ -53,6 +58,12 @@ impl fmt::Display for SessionError {
                 write!(f, "bad event: process {p} already finished")
             }
             SessionError::Ingest(e) => write!(f, "{e}"),
+            SessionError::MembershipLost(p) => write!(
+                f,
+                "slice membership of a refused update of process {p} was lost \
+                 (more refusals outstanding than the hold buffer has slots); \
+                 process {p} can no longer be judged"
+            ),
         }
     }
 }
@@ -77,36 +88,14 @@ pub struct VerdictEvent {
     pub verdict: OnlineVerdict,
 }
 
-/// One atom of a pattern predicate, resolved against the session's
-/// variable table at open time.
-struct CompiledAtom {
-    /// `None` = the atom matches on any process.
-    process: Option<usize>,
-    var: VarId,
-    op: CmpOp,
-    value: i64,
-}
-
-/// One registered predicate and its detector.
-struct MonitorEntry {
-    id: String,
-    /// Per-process local clause (`None` = the process has no clause).
-    /// Empty for pattern predicates, which carry `atoms` instead.
-    clauses: Vec<Option<LocalExpr>>,
-    /// Pattern atoms (`Some` iff the predicate's mode is `Pattern`).
-    /// Atoms are matched against an event's **assignments**, not the
-    /// accumulated local state: a pattern names things that *happen*.
-    atoms: Option<Vec<CompiledAtom>>,
-    monitor: Box<dyn OnlineMonitor + Send>,
+/// How one registered predicate judges a delivery; `judges[j]` feeds
+/// the pipeline's detector `j`.
+struct Judge {
+    body: Body,
     /// Slicing ingest filter fronting the detector (regular predicates
-    /// only): slice-irrelevant events never reach `monitor`, their
+    /// only): slice-irrelevant events never reach it, their
     /// observations deferred as batched `skip_states` counter bumps.
     slice: Option<SliceFilter>,
-    /// Filter counters already pushed to the service metrics:
-    /// `(events_in, events_filtered)` watermark.
-    slice_reported: (u64, u64),
-    /// Set once the verdict has been reported.
-    emitted: bool,
 }
 
 /// Limits and policy for a session's causal buffer.
@@ -141,29 +130,8 @@ pub struct Session {
     predicates: Vec<WirePredicate>,
     /// Current local state per process (advanced on delivery).
     states: Vec<LocalState>,
-    buffer: CausalBuffer<Vec<(VarId, i64)>>,
-    monitors: Vec<MonitorEntry>,
-    /// Client-declared stream ends.
-    finished: Vec<bool>,
-    /// Processes whose finish has been forwarded to the detectors.
-    monitor_finished: Vec<bool>,
-    /// Delivered events (for stats and the e2e assertions).
-    delivered: u64,
-    /// Verdicts that settled already at open (initial-cut detections),
-    /// waiting to be collected by the service.
-    pending_initial: Vec<VerdictEvent>,
-}
-
-fn parse_op(op: &str) -> Option<CmpOp> {
-    Some(match op {
-        "=" | "==" => CmpOp::Eq,
-        "!=" => CmpOp::Ne,
-        "<" => CmpOp::Lt,
-        "<=" => CmpOp::Le,
-        ">" => CmpOp::Gt,
-        ">=" => CmpOp::Ge,
-        _ => return None,
-    })
+    judges: Vec<Judge>,
+    pipeline: Pipeline<Vec<(VarId, i64)>>,
 }
 
 impl Session {
@@ -178,237 +146,56 @@ impl Session {
         predicates: &[WirePredicate],
         limits: SessionLimits,
     ) -> Result<Session, SessionError> {
-        if processes == 0 {
-            return Err(SessionError::BadOpen("zero processes".into()));
-        }
-        if initial.len() > processes {
-            return Err(SessionError::BadOpen(format!(
-                "{} initial maps for {processes} processes",
-                initial.len()
-            )));
-        }
-        let mut vars = VarTable::new();
-        for v in var_names {
-            vars.declare(v);
-        }
-        let mut states = vec![LocalState::zeroed(vars.len()); processes];
-        for (i, init) in initial.iter().enumerate() {
-            for (vname, &value) in init {
-                let id = vars.lookup(vname).ok_or_else(|| {
-                    SessionError::BadOpen(format!("undeclared variable '{vname}' in initial"))
-                })?;
-                states[i].set(id, value);
-            }
-        }
-
-        let mut monitors = Vec::with_capacity(predicates.len());
-        let mut seen_ids = std::collections::BTreeSet::new();
-        for pred in predicates {
-            if !seen_ids.insert(&pred.id) {
-                return Err(SessionError::BadOpen(format!(
-                    "duplicate predicate id '{}'",
-                    pred.id
-                )));
-            }
-            if pred.mode == WireMode::Pattern {
-                let entry = Self::open_pattern(pred, processes, &vars)?;
-                monitors.push(entry);
-                continue;
-            }
-            if pred.pattern.is_some() {
-                return Err(SessionError::BadOpen(format!(
-                    "predicate '{}': a pattern body requires mode 'pattern'",
-                    pred.id
-                )));
-            }
-            if pred.clauses.is_empty() {
-                return Err(SessionError::BadOpen(format!(
-                    "predicate '{}' has no clauses",
-                    pred.id
-                )));
-            }
-            let mut clauses: Vec<Option<LocalExpr>> = vec![None; processes];
-            for WireClause {
-                process,
-                var,
-                op,
-                value,
-            } in &pred.clauses
-            {
-                if *process >= processes {
-                    return Err(SessionError::BadOpen(format!(
-                        "predicate '{}': process {process} out of range",
-                        pred.id
-                    )));
-                }
-                let id = vars.lookup(var).ok_or_else(|| {
-                    SessionError::BadOpen(format!(
-                        "predicate '{}': undeclared variable '{var}'",
-                        pred.id
-                    ))
-                })?;
-                let cmp = parse_op(op).ok_or_else(|| {
-                    SessionError::BadOpen(format!(
-                        "predicate '{}': unknown operator '{op}'",
-                        pred.id
-                    ))
-                })?;
-                let expr = LocalExpr::Cmp(id, cmp, *value);
-                // Several clauses on one process fold with the mode's
-                // connective.
-                clauses[*process] = Some(match (clauses[*process].take(), pred.mode) {
-                    (None, _) => expr,
-                    (Some(prev), WireMode::Conjunctive) => prev.and(expr),
-                    (Some(prev), WireMode::Disjunctive) => prev.or(expr),
-                    (Some(_), WireMode::Pattern) => unreachable!("handled above"),
-                });
-            }
-            let initially: Vec<bool> = (0..processes)
-                .map(|i| clauses[i].as_ref().is_some_and(|c| c.eval(&states[i])))
-                .collect();
-            let monitor: Box<dyn OnlineMonitor + Send> = match pred.mode {
-                WireMode::Conjunctive => {
-                    let participating: Vec<bool> = clauses.iter().map(Option::is_some).collect();
-                    Box::new(OnlineEfConjunctive::new(
-                        processes,
-                        participating,
-                        initially,
-                    ))
-                }
-                WireMode::Disjunctive => Box::new(OnlineEfDisjunctive::new(processes, initially)),
-                WireMode::Pattern => unreachable!("handled above"),
-            };
-            // Regular predicates are detected on the slice: an ingest
-            // filter drops slice-irrelevant events before the detector.
-            let slice = (limits.slice && hb_slice::sliceable(pred.mode))
-                .then(|| SliceFilter::from_clauses(&clauses, &states));
-            monitors.push(MonitorEntry {
-                id: pred.id.clone(),
-                clauses,
-                atoms: None,
-                monitor,
-                slice,
-                slice_reported: (0, 0),
-                emitted: false,
-            });
-        }
-
-        let mut s = Session {
+        let validated = validate(processes, var_names, initial, predicates)?;
+        // Regular predicates are detected on the slice: an ingest
+        // filter drops slice-irrelevant events before the detector.
+        let sliced = |pred: &WirePredicate| limits.slice && hb_slice::sliceable(pred.mode);
+        let pipeline = Pipeline::open(predicates, &validated, limits, sliced);
+        let judges = predicates
+            .iter()
+            .zip(validated.bodies)
+            .map(|(pred, body)| Judge {
+                slice: match &body {
+                    Body::Clauses(clauses) if sliced(pred) => {
+                        Some(SliceFilter::from_clauses(clauses, &validated.states))
+                    }
+                    _ => None,
+                },
+                body,
+            })
+            .collect();
+        Ok(Session {
             name: name.to_string(),
-            vars,
+            vars: validated.vars,
             predicates: predicates.to_vec(),
-            states,
-            buffer: CausalBuffer::new(processes, limits.buffer_capacity, limits.policy),
-            monitors,
-            finished: vec![false; processes],
-            monitor_finished: vec![false; processes],
-            delivered: 0,
-            pending_initial: Vec::new(),
-        };
-        // A predicate can already hold in the initial cut.
-        let mut initial_verdicts = Vec::new();
-        s.collect_settled(&mut initial_verdicts);
-        s.pending_initial = initial_verdicts;
-        Ok(s)
-    }
-
-    /// Validates a pattern predicate and instantiates its predictive
-    /// matcher.
-    fn open_pattern(
-        pred: &WirePredicate,
-        processes: usize,
-        vars: &VarTable,
-    ) -> Result<MonitorEntry, SessionError> {
-        let bad = |m: String| SessionError::BadOpen(format!("predicate '{}': {m}", pred.id));
-        if !pred.clauses.is_empty() {
-            return Err(bad("pattern predicates take no clauses".into()));
-        }
-        let pattern = pred
-            .pattern
-            .as_ref()
-            .ok_or_else(|| bad("mode 'pattern' without a pattern body".into()))?;
-        if pattern.atoms.is_empty() {
-            return Err(bad("empty pattern".into()));
-        }
-        if pattern.atoms.len() > 64 {
-            return Err(bad(format!(
-                "{} atoms; the label mask caps patterns at 64",
-                pattern.atoms.len()
-            )));
-        }
-        if pattern.atoms[0].causal {
-            return Err(bad(
-                "the first atom has no predecessor to be causally after".into(),
-            ));
-        }
-        let mut atoms = Vec::with_capacity(pattern.atoms.len());
-        for a in &pattern.atoms {
-            if let Some(p) = a.process {
-                if p >= processes {
-                    return Err(bad(format!("process {p} out of range")));
-                }
-            }
-            let var = vars
-                .lookup(&a.var)
-                .ok_or_else(|| bad(format!("undeclared variable '{}'", a.var)))?;
-            let op = parse_op(&a.op).ok_or_else(|| bad(format!("unknown operator '{}'", a.op)))?;
-            atoms.push(CompiledAtom {
-                process: a.process,
-                var,
-                op,
-                value: a.value,
-            });
-        }
-        Ok(MonitorEntry {
-            id: pred.id.clone(),
-            clauses: Vec::new(),
-            atoms: Some(atoms),
-            monitor: Box::new(PredictiveMatcher::from_wire(processes, pattern)),
-            slice: None,
-            slice_reported: (0, 0),
-            emitted: false,
+            states: validated.states,
+            judges,
+            pipeline,
         })
     }
 
     /// Verdicts that settled at open time (initial-cut detections).
     pub fn take_initial_verdicts(&mut self) -> Vec<VerdictEvent> {
-        std::mem::take(&mut self.pending_initial)
+        self.pipeline.take_initial_verdicts()
     }
 
     /// Freezes the session's full state for persistence.
     pub fn snapshot(&self) -> SessionSnapshot {
+        let mut pipeline = self.pipeline.snapshot(|set| {
+            set.iter()
+                .map(|(id, v)| (self.vars.name(*id).to_string(), *v))
+                .collect()
+        });
+        for (m, judge) in pipeline.monitors.iter_mut().zip(&self.judges) {
+            m.slice = judge.slice.as_ref().map(SliceFilter::export);
+        }
         SessionSnapshot {
             name: self.name.clone(),
             processes: self.states.len(),
             vars: self.vars.iter().map(|(_, n)| n.to_string()).collect(),
             predicates: self.predicates.clone(),
             states: self.states.iter().map(|s| s.values().to_vec()).collect(),
-            frontier: self.buffer.frontier().to_vec(),
-            held: self
-                .buffer
-                .held_events()
-                .map(|(process, clock, set)| HeldEventSnapshot {
-                    process,
-                    clock: clock.components().to_vec(),
-                    set: set
-                        .iter()
-                        .map(|(id, v)| (self.vars.name(*id).to_string(), *v))
-                        .collect(),
-                })
-                .collect(),
-            finished: self.finished.clone(),
-            monitor_finished: self.monitor_finished.clone(),
-            delivered: self.delivered,
-            monitors: self
-                .monitors
-                .iter()
-                .map(|e| MonitorSnapshot {
-                    id: e.id.clone(),
-                    emitted: e.emitted,
-                    state: e.monitor.export_state(),
-                    slice: e.slice.as_ref().map(|f| f.export()),
-                })
-                .collect(),
+            pipeline,
         }
     }
 
@@ -430,11 +217,7 @@ impl Session {
             &snap.predicates,
             limits,
         )?;
-        if snap.states.len() != snap.processes
-            || snap.frontier.len() != snap.processes
-            || snap.finished.len() != snap.processes
-            || snap.monitor_finished.len() != snap.processes
-        {
+        if snap.states.len() != snap.processes {
             return Err(shape("per-process vectors"));
         }
         s.states = snap
@@ -442,45 +225,17 @@ impl Session {
             .iter()
             .map(|v| LocalState::from_values(v.clone()))
             .collect();
-        let mut held = Vec::with_capacity(snap.held.len());
-        for h in &snap.held {
-            if h.process >= snap.processes || h.clock.len() != snap.processes {
-                return Err(shape("held event"));
-            }
-            let mut set = Vec::with_capacity(h.set.len());
-            for (vname, &value) in &h.set {
-                let id = s.vars.lookup(vname).ok_or_else(|| shape("held variable"))?;
-                set.push((id, value));
-            }
-            held.push((
-                h.process,
-                VectorClock::from_components(h.clock.clone()),
-                set,
-            ));
-        }
-        s.buffer = CausalBuffer::restore(
-            snap.frontier.clone(),
-            held,
-            limits.buffer_capacity,
-            limits.policy,
-        );
-        if snap.monitors.len() != s.monitors.len() {
-            return Err(shape("monitor count"));
-        }
-        for (entry, m) in s.monitors.iter_mut().zip(&snap.monitors) {
-            if entry.id != m.id {
-                return Err(shape("monitor order"));
-            }
-            entry.monitor = hb_pattern::restore_any(&m.state);
-            entry.emitted = m.emitted;
-            match (&mut entry.slice, &m.slice) {
+        for (judge, m) in s.judges.iter_mut().zip(&snap.pipeline.monitors) {
+            match (&mut judge.slice, &m.slice) {
                 (Some(f), Some(state)) => {
                     f.restore(state).map_err(|_| shape("slice state"))?;
                 }
                 (Some(f), None) => {
                     // Pre-slicing snapshot: start the filter from the
                     // restored states with fresh counters.
-                    *f = SliceFilter::from_clauses(&entry.clauses, &s.states);
+                    if let Body::Clauses(clauses) = &judge.body {
+                        *f = SliceFilter::from_clauses(clauses, &s.states);
+                    }
                 }
                 (None, Some(_)) => {
                     // The snapshot was taken with slicing on: the
@@ -491,62 +246,47 @@ impl Session {
                 (None, None) => {}
             }
         }
-        s.finished = snap.finished.clone();
-        s.monitor_finished = snap.monitor_finished.clone();
-        s.delivered = snap.delivered;
-        s.pending_initial.clear();
+        let vars = &s.vars;
+        s.pipeline
+            .restore(&snap.pipeline, limits, |set| {
+                set.iter()
+                    .map(|(vname, &value)| Some((vars.lookup(vname)?, value)))
+                    .collect::<Option<_>>()
+                    .ok_or("held variable")
+            })
+            .map_err(shape)?;
         Ok(s)
-    }
-
-    /// The session's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The number of processes.
-    pub fn processes(&self) -> usize {
-        self.states.len()
     }
 
     /// Events currently held in the causal buffer.
     pub fn held(&self) -> usize {
-        self.buffer.held()
+        self.pipeline.held()
     }
 
     /// Events delivered to the detectors so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.pipeline.delivered()
     }
 
     /// Per-predicate slice-filter counters not yet pushed to the
     /// service metrics: `(predicate id, Δevents_in, Δevents_filtered)`
-    /// since the previous call. Advances the watermark, so each
-    /// observation is reported exactly once. After a crash-recovery
-    /// restore the watermark restarts at zero: the first flush resyncs
-    /// the fresh metrics with the recovered totals.
+    /// since the previous call (see [`SliceFilter::take_stats`]).
     pub fn take_slice_stats(&mut self) -> Vec<(String, u64, u64)> {
-        let mut out = Vec::new();
-        for e in &mut self.monitors {
-            if let Some(f) = &e.slice {
-                let (total_in, total_filtered) = (f.events_in(), f.events_filtered());
-                let delta_in = total_in - e.slice_reported.0;
-                let delta_filtered = total_filtered - e.slice_reported.1;
-                if delta_in > 0 || delta_filtered > 0 {
-                    e.slice_reported = (total_in, total_filtered);
-                    out.push((e.id.clone(), delta_in, delta_filtered));
-                }
-            }
-        }
-        out
+        self.judges
+            .iter_mut()
+            .zip(&self.predicates)
+            .filter_map(|(judge, pred)| {
+                let (events_in, filtered) = judge.slice.as_mut()?.take_stats()?;
+                Some((pred.id.clone(), events_in, filtered))
+            })
+            .collect()
     }
 
-    /// Restarts the [`Session::take_slice_stats`] watermark at zero, as
-    /// after a restore: the next call reports lifetime totals. For a
-    /// session whose earlier reports went to a metrics block that was
-    /// thrown away (WAL replay).
+    /// Restarts the [`Session::take_slice_stats`] watermark at zero: the
+    /// next call reports lifetime totals.
     pub fn rewind_slice_stats(&mut self) {
-        for e in &mut self.monitors {
-            e.slice_reported = (0, 0);
+        for filter in self.judges.iter_mut().filter_map(|j| j.slice.as_mut()) {
+            filter.rewind_stats();
         }
     }
 
@@ -558,13 +298,7 @@ impl Session {
         clock: VectorClock,
         set: &BTreeMap<String, i64>,
     ) -> Result<Vec<VerdictEvent>, SessionError> {
-        // Reject events only once the finish reached the detectors: a
-        // declared-finished process may still owe held events their
-        // causal predecessors (reordering can let the finish overtake
-        // earlier events in transit).
-        if p < self.finished.len() && self.monitor_finished[p] {
-            return Err(SessionError::AlreadyFinished(p));
-        }
+        self.pipeline.check_unfinished(p)?;
         let mut updates = Vec::with_capacity(set.len());
         for (vname, &value) in set {
             let id = self
@@ -573,150 +307,82 @@ impl Session {
                 .ok_or_else(|| SessionError::BadEvent(format!("undeclared variable '{vname}'")))?;
             updates.push((id, value));
         }
-        let released = self.buffer.ingest(p, clock, updates)?;
-        let mut verdicts = Vec::new();
-        self.delivered += released.len() as u64;
-        for d in &released {
+        let (states, judges) = (&mut self.states, &mut self.judges);
+        self.pipeline.ingest(p, clock, updates, |detectors, d| {
             for (var, value) in &d.payload {
-                self.states[d.process].set(*var, *value);
+                states[d.process].set(*var, *value);
             }
-            for entry in &mut self.monitors {
-                if !entry.emitted {
-                    observe_delivery(entry, &self.states, d);
+            for (det, judge) in detectors.iter_mut().zip(judges.iter_mut()) {
+                if !det.emitted {
+                    observe_delivery(det, judge, states, d);
                 }
             }
-        }
-        self.collect_settled(&mut verdicts);
-        // A delivery may have drained the last held event of an
-        // already-finished process.
-        self.forward_finishes(&mut verdicts);
-        Ok(verdicts)
+        })
     }
 
     /// Declares that process `p` will produce no further events.
     pub fn finish_process(&mut self, p: usize) -> Result<Vec<VerdictEvent>, SessionError> {
-        if p >= self.finished.len() {
-            return Err(SessionError::BadEvent(format!("process {p} out of range")));
-        }
-        self.finished[p] = true;
-        let mut verdicts = Vec::new();
-        self.forward_finishes(&mut verdicts);
-        Ok(verdicts)
+        self.pipeline.finish_process(p)
     }
 
     /// Closes the session: discards stranded held events, declares every
     /// process finished, and force-settles all remaining predicates.
     /// Returns the settled verdicts plus the number of discarded events.
     pub fn close(&mut self) -> (Vec<VerdictEvent>, u64) {
-        let discarded = self.buffer.discard_held().len() as u64;
-        let mut verdicts = Vec::new();
-        for p in 0..self.states.len() {
-            if !self.monitor_finished[p] {
-                self.monitor_finished[p] = true;
-                for entry in &mut self.monitors {
-                    if !entry.emitted {
-                        entry.monitor.finish_process(p);
-                    }
-                }
-            }
-        }
-        self.collect_settled(&mut verdicts);
-        (verdicts, discarded)
+        self.pipeline.close()
     }
 
     /// The final verdict of every predicate (settled or not), for the
     /// close report.
     pub fn all_verdicts(&self) -> Vec<VerdictEvent> {
-        self.monitors
-            .iter()
-            .map(|e| VerdictEvent {
-                predicate: e.id.clone(),
-                pattern: e.atoms.is_some(),
-                verdict: e.monitor.verdict().clone(),
-            })
-            .collect()
-    }
-
-    /// Forwards client-declared finishes to the detectors once the
-    /// buffer holds nothing more from the process (a held event may
-    /// still be observed later, and detectors reject post-finish
-    /// observations).
-    fn forward_finishes(&mut self, out: &mut Vec<VerdictEvent>) {
-        for p in 0..self.states.len() {
-            if self.finished[p] && !self.monitor_finished[p] && self.buffer.held_from(p) == 0 {
-                self.monitor_finished[p] = true;
-                for entry in &mut self.monitors {
-                    if !entry.emitted {
-                        entry.monitor.finish_process(p);
-                    }
-                }
-            }
-        }
-        self.collect_settled(out);
-    }
-
-    /// Emits newly settled verdicts, once each.
-    fn collect_settled(&mut self, out: &mut Vec<VerdictEvent>) {
-        for entry in &mut self.monitors {
-            if !entry.emitted && entry.monitor.is_settled() {
-                entry.emitted = true;
-                out.push(VerdictEvent {
-                    predicate: entry.id.clone(),
-                    pattern: entry.atoms.is_some(),
-                    verdict: entry.monitor.verdict().clone(),
-                });
-            }
-        }
+        self.pipeline.all_verdicts()
     }
 }
 
-/// Feeds one delivery to a monitor's slice filter and detector.
+/// Feeds one delivery to a predicate's slice filter and detector.
 /// `states` must already reflect the delivery's assignments.
 fn observe_delivery(
-    entry: &mut MonitorEntry,
+    det: &mut Detector,
+    judge: &mut Judge,
     states: &[LocalState],
     d: &Delivered<Vec<(VarId, i64)>>,
 ) {
-    if let Some(atoms) = &entry.atoms {
-        // Pattern atoms match the event's assignments — the deltas,
-        // not the accumulated state.
-        let mut mask = 0u64;
-        for (k, a) in atoms.iter().enumerate() {
-            if a.process.is_some_and(|p| p != d.process) {
-                continue;
+    let clauses = match &judge.body {
+        Body::Clauses(clauses) => clauses,
+        Body::Atoms(atoms) => {
+            // Pattern atoms match the event's assignments — the deltas,
+            // not the accumulated state.
+            let mut mask = 0u64;
+            for (k, a) in atoms.iter().enumerate() {
+                if a.process.is_some_and(|p| p != d.process) {
+                    continue;
+                }
+                if d.payload
+                    .iter()
+                    .any(|&(var, value)| var == a.var && a.op.apply(value, a.value))
+                {
+                    mask |= 1 << k;
+                }
             }
-            if d.payload
-                .iter()
-                .any(|&(var, value)| var == a.var && a.op.apply(value, a.value))
-            {
-                mask |= 1 << k;
-            }
+            det.monitor.observe_atoms(d.process, mask, &d.clock);
+            return;
         }
-        entry.monitor.observe_atoms(d.process, mask, &d.clock);
-        return;
-    }
-    let holds = entry.clauses[d.process]
+    };
+    let holds = clauses[d.process]
         .as_ref()
         .is_some_and(|c| c.eval(&states[d.process]));
-    if let Some(filter) = &mut entry.slice {
+    if let Some(filter) = &mut judge.slice {
         let delta = filter.advance(d.process, d.payload.iter().map(|&(var, _)| var), || holds);
-        if delta.is_member() {
-            // Flush the deferred skips first, so the detector numbers
-            // this state exactly as an unfiltered run would.
-            let skipped = filter.take_pending(d.process);
-            if skipped > 0 {
-                entry.monitor.skip_states(d.process, skipped);
-            }
-            entry.monitor.observe(d.process, true, &d.clock);
-        }
+        det.admit(d.process, delta.is_member(), &d.clock);
     } else {
-        entry.monitor.observe(d.process, holds, &d.clock);
+        det.monitor.observe(d.process, holds, &d.clock);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hb_tracefmt::wire::{WireClause, WireMode};
 
     fn vc(c: &[u32]) -> VectorClock {
         VectorClock::from_components(c.to_vec())
@@ -978,45 +644,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn open_validates_predicates() {
-        let bad = |preds: &[WirePredicate]| {
-            Session::open(
-                "b",
-                2,
-                &["x".to_string()],
-                &[],
-                preds,
-                SessionLimits::default(),
-            )
-            .err()
-            .unwrap()
-        };
-        assert!(matches!(
-            bad(&[pred("p", WireMode::Conjunctive, &[(9, "x", "=", 1)])]),
-            SessionError::BadOpen(_)
-        ));
-        assert!(matches!(
-            bad(&[pred("p", WireMode::Conjunctive, &[(0, "y", "=", 1)])]),
-            SessionError::BadOpen(_)
-        ));
-        assert!(matches!(
-            bad(&[pred("p", WireMode::Conjunctive, &[(0, "x", "~", 1)])]),
-            SessionError::BadOpen(_)
-        ));
-        assert!(matches!(
-            bad(&[
-                pred("p", WireMode::Conjunctive, &[(0, "x", "=", 1)]),
-                pred("p", WireMode::Disjunctive, &[(1, "x", "=", 1)]),
-            ]),
-            SessionError::BadOpen(_)
-        ));
-        assert!(matches!(
-            bad(&[pred("p", WireMode::Conjunctive, &[])]),
-            SessionError::BadOpen(_)
-        ));
-    }
-
     /// Two processes sharing `unlock`/`lock` flags: the session must
     /// flag the unlock/lock inversion even though the delivered order
     /// (lock before unlock) never exhibits it — the two are concurrent.
@@ -1213,16 +840,16 @@ mod tests {
         let s = fig2_session();
         let good = s.snapshot();
         let mut bad = good.clone();
-        bad.frontier = vec![0];
+        bad.pipeline.frontier = vec![0];
         assert!(Session::restore(&bad, SessionLimits::default()).is_err());
         let mut bad = good.clone();
-        bad.monitors.clear();
+        bad.pipeline.monitors.clear();
         assert!(Session::restore(&bad, SessionLimits::default()).is_err());
         let mut bad = good;
-        bad.held.push(crate::persist::HeldEventSnapshot {
+        bad.pipeline.held.push(crate::persist::HeldSnapshot {
             process: 7,
             clock: vec![1, 1],
-            set: Default::default(),
+            payload: Default::default(),
         });
         assert!(Session::restore(&bad, SessionLimits::default()).is_err());
     }
@@ -1278,9 +905,12 @@ mod tests {
         }
         // Identical detector states: only the slice record differs.
         let (snap_a, snap_b) = (sliced.snapshot(), plain.snapshot());
-        assert_eq!(snap_a.monitors[0].state, snap_b.monitors[0].state);
-        assert!(snap_a.monitors[0].slice.is_some());
-        assert!(snap_b.monitors[0].slice.is_none());
+        assert_eq!(
+            snap_a.pipeline.monitors[0].state,
+            snap_b.pipeline.monitors[0].state
+        );
+        assert!(snap_a.pipeline.monitors[0].slice.is_some());
+        assert!(snap_b.pipeline.monitors[0].slice.is_none());
     }
 
     #[test]
@@ -1303,7 +933,7 @@ mod tests {
         original.event(1, vc(&[0, 1]), &set(&[("x1", 3)])).unwrap();
         original.event(0, vc(&[1, 0]), &set(&[("x0", 1)])).unwrap();
         let snap = original.snapshot();
-        assert!(snap.monitors[0].slice.is_some());
+        assert!(snap.pipeline.monitors[0].slice.is_some());
 
         let mut restored = Session::restore(&snap, SessionLimits::default()).unwrap();
         assert_eq!(restored.snapshot(), snap, "snapshot is stable");
@@ -1341,7 +971,8 @@ mod tests {
         // A pre-slicing snapshot (no slice record) restores fine into a
         // slicing session: the filter is rebuilt from the states.
         let mut old = snap;
-        old.monitors[0].slice = None;
+        old.pipeline.monitors[0].slice = None;
+        old.pipeline.monitors[0].pending.clear();
         let restored = Session::restore(&old, SessionLimits::default());
         assert!(restored.is_ok());
     }

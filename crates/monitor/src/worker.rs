@@ -1,11 +1,10 @@
 //! The worker side of a distributed session.
 //!
-//! A worker owns the processes `p` with [`crate::owner`]`(p, k) == i`
+//! A worker owns the processes `p` with [`hb_dist::owner`]`(p, k) == i`
 //! and turns each of their events into one compact slice update for
-//! the aggregator. It is a stripped-down replica of the single-backend
-//! session's *ingest filter* stage: full-width local states, the
-//! slicing membership logic of `hb-slice` (per-predicate variable
-//! footprints and cached clause truth), but **no causal buffer and no
+//! the aggregator. It is the single-backend session's *ingest filter*
+//! stage and nothing else: full-width local states and one
+//! [`SliceFilter`] per predicate, but **no causal buffer and no
 //! detectors** — clause truth of process `p`'s events depends only on
 //! `p`'s own state sequence, so per-process position order suffices
 //! and cross-process causality is left entirely to the aggregator.
@@ -16,48 +15,33 @@
 //! 1. An undeclared variable refuses the event *before* any state
 //!    change; the update carries the exact message in `invalid`.
 //! 2. A process/clock-width mismatch emits an empty-holds update and
-//!    leaves the event to the aggregator's replica buffer, which
-//!    reproduces the single-backend error.
+//!    leaves the event to the aggregator's causal buffer, which
+//!    produces the single-backend error.
 //! 3. A position replay (`clock[p] <= applied count`) emits an
-//!    empty-holds update: the aggregator classifies it — duplicate if
-//!    the original was delivered, stranded-held otherwise — and the
-//!    payload is provably never used (the original's update, scanned
-//!    first in arrival order, wins delivery).
+//!    empty-holds update and the aggregator classifies it. If the
+//!    original was delivered or is held there, the copy is a duplicate
+//!    and its bits are never read. If the original was *refused* for
+//!    lack of hold space, the copy is the client's retry and its bits
+//!    matter: the aggregator kept the original's and judges the retry
+//!    by those (see [`crate::aggregator`]).
 //!
 //! Events ahead of their position (`clock[p] > count + 1`) are held
 //! and drained when the gap fills; whatever is still held at close is
 //! flushed with empty holds — at that point every held event sits at
 //! least two positions past anything the aggregator can deliver, so
-//! the payload is again unreachable. This is what keeps the
+//! the payload is unreachable. This is what keeps the
 //! one-update-per-sequence invariant: every sequence number the
 //! gateway routed here is answered by exactly one update by the time
 //! the worker closes.
 
-use crate::compile::{compile_conjunctive, CompiledPredicate};
+use crate::pipeline::{conjunctive_only, validate, Body};
+use crate::session::SessionError;
 use hb_computation::{LocalState, VarId, VarTable};
 use hb_predicates::LocalExpr;
-use hb_slice::clause_vars;
+use hb_slice::{SliceFilter, SliceState};
 use hb_tracefmt::wire::{SliceUpdateBody, WirePredicate};
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
-
-/// One registered predicate's membership-filter state.
-struct WorkerPred {
-    id: String,
-    /// Per-process local clause (`None` = non-participating).
-    clauses: Vec<Option<LocalExpr>>,
-    /// Per-process clause variable footprint, `None` = non-participating.
-    deps: Vec<Option<Vec<VarId>>>,
-    /// Cached clause truth of each process's current state.
-    holds: Vec<bool>,
-    /// Events applied while this predicate was registered.
-    events_in: u64,
-    /// Applied events that were not slice members.
-    events_filtered: u64,
-    /// Counter watermark already reported through
-    /// [`DistWorker::take_slice_stats`].
-    reported: (u64, u64),
-}
 
 /// An event ahead of its per-process position, waiting for the gap.
 struct HeldEvent {
@@ -103,17 +87,16 @@ pub struct DistWorker {
     states: Vec<LocalState>,
     /// Events applied per process (per-process position frontier).
     counts: Vec<u32>,
-    preds: Vec<WorkerPred>,
+    /// Per predicate: its per-process clauses and the membership filter
+    /// over them.
+    filters: Vec<(Vec<Option<LocalExpr>>, SliceFilter)>,
     held: Vec<HeldEvent>,
 }
 
 impl DistWorker {
-    /// Opens a worker over the origin session's full open request.
-    ///
-    /// Validation is byte-identical to the aggregator's (and the
-    /// single-backend session's), so a malformed open is refused by
-    /// every member of the partition, not just the one the client
-    /// hears from.
+    /// Opens a worker over the origin session's full open request,
+    /// refusing what the aggregator (and but for the conjunctive-only
+    /// rule, a single-backend session) would refuse.
     pub fn open(
         worker: usize,
         k: usize,
@@ -121,46 +104,35 @@ impl DistWorker {
         var_names: &[String],
         initial: &[BTreeMap<String, i64>],
         predicates: &[WirePredicate],
-    ) -> Result<DistWorker, String> {
+    ) -> Result<DistWorker, SessionError> {
         if k == 0 || worker >= k {
-            return Err(format!("worker {worker} out of range for k={k}"));
+            return Err(SessionError::BadOpen(format!(
+                "worker {worker} out of range for k={k}"
+            )));
         }
-        let compiled = compile_conjunctive(processes, var_names, initial, predicates)?;
-        let preds = compiled
-            .predicates
-            .iter()
-            .map(|CompiledPredicate { id, clauses }| WorkerPred {
-                id: id.clone(),
-                deps: clauses
-                    .iter()
-                    .map(|c| c.as_ref().map(clause_vars))
-                    .collect(),
-                holds: clauses
-                    .iter()
-                    .zip(&compiled.states)
-                    .map(|(c, s)| c.as_ref().is_none_or(|e| e.eval(s)))
-                    .collect(),
-                clauses: clauses.clone(),
-                events_in: 0,
-                events_filtered: 0,
-                reported: (0, 0),
+        let validated = validate(processes, var_names, initial, predicates)?;
+        conjunctive_only(predicates)?;
+        let filters = validated
+            .bodies
+            .into_iter()
+            .map(|body| match body {
+                Body::Clauses(clauses) => {
+                    let filter = SliceFilter::from_clauses(&clauses, &validated.states);
+                    (clauses, filter)
+                }
+                Body::Atoms(_) => unreachable!("conjunctive predicates carry clauses"),
             })
             .collect();
         Ok(DistWorker {
             worker,
             k,
-            vars: compiled.vars,
+            vars: validated.vars,
             predicates: predicates.to_vec(),
-            states: compiled.states,
+            states: validated.states,
             counts: vec![0; processes],
-            preds,
+            filters,
             held: Vec::new(),
         })
-    }
-
-    /// The number of processes in the computation (full width).
-    pub fn processes(&self) -> usize {
-        self.states.len()
     }
 
     /// Events currently held for a per-process position gap.
@@ -190,14 +162,14 @@ impl DistWorker {
         }
         let n = self.states.len();
         if p >= n || clock.width() != n {
-            // The aggregator's replica buffer re-derives the exact
+            // The aggregator's causal buffer derives the exact
             // BadProcess/BadClockWidth refusal from the same fields.
             return vec![(seq, refusal(p, &clock, None))];
         }
         let pos = clock.get(p);
         if pos <= self.counts[p] {
             // Position replay: the original update (earlier sequence)
-            // already carries the real membership bits.
+            // carried the real membership bits.
             return vec![(seq, refusal(p, &clock, None))];
         }
         let mut out = Vec::new();
@@ -234,22 +206,10 @@ impl DistWorker {
         }
         let state = &self.states[p];
         let mut holds = Vec::new();
-        for (j, pred) in self.preds.iter_mut().enumerate() {
-            pred.events_in += 1;
-            let Some(dep) = &pred.deps[p] else {
-                pred.events_filtered += 1;
-                continue;
-            };
-            if touched.iter().any(|v| dep.contains(v)) {
-                pred.holds[p] = pred.clauses[p]
-                    .as_ref()
-                    .expect("participating process has a clause")
-                    .eval(state);
-            }
-            if pred.holds[p] {
+        for (j, (clauses, filter)) in self.filters.iter_mut().enumerate() {
+            let eval = || clauses[p].as_ref().is_some_and(|c| c.eval(state));
+            if filter.advance(p, touched.iter().copied(), eval).is_member() {
                 holds.push(j);
-            } else {
-                pred.events_filtered += 1;
             }
         }
         SliceUpdateBody::Observe {
@@ -293,31 +253,37 @@ impl DistWorker {
     }
 
     /// Per-predicate filter counters not yet reported:
-    /// `(predicate id, Δevents_in, Δevents_filtered)`. Watermarked like
-    /// the single-backend session's slice stats.
+    /// `(predicate id, Δevents_in, Δevents_filtered)` (see
+    /// [`SliceFilter::take_stats`]).
     pub fn take_slice_stats(&mut self) -> Vec<(String, u64, u64)> {
-        let mut out = Vec::new();
-        for pred in &mut self.preds {
-            let delta_in = pred.events_in - pred.reported.0;
-            let delta_filtered = pred.events_filtered - pred.reported.1;
-            if delta_in > 0 || delta_filtered > 0 {
-                pred.reported = (pred.events_in, pred.events_filtered);
-                out.push((pred.id.clone(), delta_in, delta_filtered));
-            }
-        }
-        out
+        self.filters
+            .iter_mut()
+            .zip(&self.predicates)
+            .filter_map(|((_, filter), pred)| {
+                let (events_in, filtered) = filter.take_stats()?;
+                Some((pred.id.clone(), events_in, filtered))
+            })
+            .collect()
     }
 
-    /// Restarts the [`DistWorker::take_slice_stats`] watermark at zero,
-    /// as after a restore: the next call reports lifetime totals.
+    /// Restarts the [`DistWorker::take_slice_stats`] watermark at zero:
+    /// the next call reports lifetime totals.
     pub fn rewind_slice_stats(&mut self) {
-        for pred in &mut self.preds {
-            pred.reported = (0, 0);
+        for (_, filter) in &mut self.filters {
+            filter.rewind_stats();
         }
     }
 
     /// Freezes the worker for persistence.
     pub fn snapshot(&self) -> WorkerSnapshot {
+        let (holds, filtered) = self
+            .filters
+            .iter()
+            .map(|(_, filter)| {
+                let state = filter.export();
+                (state.holds, (state.events_in, state.events_filtered))
+            })
+            .unzip();
         WorkerSnapshot {
             worker: self.worker,
             k: self.k,
@@ -325,12 +291,8 @@ impl DistWorker {
             predicates: self.predicates.clone(),
             states: self.states.iter().map(|s| s.values().to_vec()).collect(),
             counts: self.counts.clone(),
-            holds: self.preds.iter().map(|p| p.holds.clone()).collect(),
-            filtered: self
-                .preds
-                .iter()
-                .map(|p| (p.events_in, p.events_filtered))
-                .collect(),
+            holds,
+            filtered,
             held: self
                 .held
                 .iter()
@@ -339,11 +301,10 @@ impl DistWorker {
         }
     }
 
-    /// Rebuilds a worker from a snapshot. The report watermark
-    /// restarts at zero, like the session's slice stats: the first
-    /// flush resyncs fresh metrics with the recovered totals.
-    pub fn restore(snap: &WorkerSnapshot, processes: usize) -> Result<DistWorker, String> {
-        let shape = |what: &str| format!("worker snapshot: inconsistent {what}");
+    /// Rebuilds a worker from a snapshot.
+    pub fn restore(snap: &WorkerSnapshot, processes: usize) -> Result<DistWorker, SessionError> {
+        let shape =
+            |what: &str| SessionError::BadOpen(format!("worker snapshot: inconsistent {what}"));
         let mut w = DistWorker::open(
             snap.worker,
             snap.k,
@@ -354,8 +315,8 @@ impl DistWorker {
         )?;
         if snap.states.len() != processes
             || snap.counts.len() != processes
-            || snap.holds.len() != w.preds.len()
-            || snap.filtered.len() != w.preds.len()
+            || snap.holds.len() != w.filters.len()
+            || snap.filtered.len() != w.filters.len()
         {
             return Err(shape("per-process vectors"));
         }
@@ -365,15 +326,15 @@ impl DistWorker {
             .map(|v| LocalState::from_values(v.clone()))
             .collect();
         w.counts = snap.counts.clone();
-        for ((pred, holds), &(events_in, events_filtered)) in
-            w.preds.iter_mut().zip(&snap.holds).zip(&snap.filtered)
+        for (((_, filter), holds), &(events_in, events_filtered)) in
+            w.filters.iter_mut().zip(&snap.holds).zip(&snap.filtered)
         {
-            if holds.len() != processes {
-                return Err(shape("holds cache"));
-            }
-            pred.holds.clone_from(holds);
-            pred.events_in = events_in;
-            pred.events_filtered = events_filtered;
+            let state = SliceState {
+                holds: holds.clone(),
+                events_in,
+                events_filtered,
+            };
+            filter.restore(&state).map_err(|_| shape("holds cache"))?;
         }
         for (seq, p, clock, set) in &snap.held {
             if *p >= processes || clock.len() != processes {
@@ -396,7 +357,7 @@ impl DistWorker {
 }
 
 /// An empty-membership update: either an explicit refusal (`invalid`)
-/// or a payload the aggregator is guaranteed to classify away.
+/// or a payload the aggregator does not judge by (see the module docs).
 fn refusal(p: usize, clock: &VectorClock, invalid: Option<String>) -> SliceUpdateBody {
     SliceUpdateBody::Observe {
         p,

@@ -6,10 +6,11 @@ use hb_computation::{LocalState, VarId};
 use hb_predicates::LocalExpr;
 
 /// Decides, per delivered event, whether the event is a slice member
-/// that must reach the detector, and accumulates the per-process
-/// counts of skipped observations the detector still has to absorb as
-/// state-counter advances (see the crate docs for why that preserves
-/// verdicts byte-for-byte).
+/// that must reach the detector. Every non-member is an observation
+/// the detector still has to absorb as a state-counter advance; the
+/// caller counts those per process and flushes them before the next
+/// member (see the crate docs for why that preserves verdicts
+/// byte-for-byte).
 ///
 /// The filter holds no clocks and computes no cuts: membership of an
 /// event for a conjunctive predicate depends only on whether its
@@ -23,10 +24,11 @@ pub struct SliceFilter {
     deps: Vec<Option<Vec<VarId>>>,
     /// Cached clause truth of each process's current state.
     holds: Vec<bool>,
-    /// Skipped observations not yet flushed into the detector.
-    pending: Vec<u64>,
     events_in: u64,
     events_filtered: u64,
+    /// `(events_in, events_filtered)` as of the last
+    /// [`SliceFilter::take_stats`].
+    reported: (u64, u64),
 }
 
 /// Exportable dynamic state of a [`SliceFilter`], persisted through
@@ -35,8 +37,6 @@ pub struct SliceFilter {
 pub struct SliceState {
     /// Cached clause truth per process.
     pub holds: Vec<bool>,
-    /// Unflushed skip counts per process.
-    pub pending: Vec<u64>,
     /// Total events offered to the filter.
     pub events_in: u64,
     /// Events the filter proved irrelevant.
@@ -60,9 +60,9 @@ impl SliceFilter {
         SliceFilter {
             deps,
             holds,
-            pending: vec![0; clauses.len()],
             events_in: 0,
             events_filtered: 0,
+            reported: (0, 0),
         }
     }
 
@@ -80,31 +80,24 @@ impl SliceFilter {
     ) -> SliceDelta {
         self.events_in += 1;
         let Some(dep) = &self.deps[p] else {
-            return self.skip(p, SkipReason::NonParticipating);
+            return self.skip(SkipReason::NonParticipating);
         };
         let relevant = touched.into_iter().any(|v| dep.contains(&v));
         if relevant {
             self.holds[p] = eval();
         } else if !self.holds[p] {
-            return self.skip(p, SkipReason::Untouched);
+            return self.skip(SkipReason::Untouched);
         }
         if self.holds[p] {
             SliceDelta::Enter { j_cut: None }
         } else {
-            self.skip(p, SkipReason::ClauseFalse)
+            self.skip(SkipReason::ClauseFalse)
         }
     }
 
-    fn skip(&mut self, p: usize, reason: SkipReason) -> SliceDelta {
+    fn skip(&mut self, reason: SkipReason) -> SliceDelta {
         self.events_filtered += 1;
-        self.pending[p] += 1;
         SliceDelta::Skip { reason }
-    }
-
-    /// Takes (and resets) the skip count the detector must absorb
-    /// before observing the next admitted event of `p`.
-    pub fn take_pending(&mut self, p: usize) -> u64 {
-        std::mem::take(&mut self.pending[p])
     }
 
     /// Total events offered to the filter.
@@ -117,11 +110,30 @@ impl SliceFilter {
         self.events_filtered
     }
 
+    /// `(Δevents_in, Δevents_filtered)` since the previous call, or
+    /// `None` when nothing moved. Advances the watermark, so each
+    /// observation is reported exactly once. A restored filter starts
+    /// with the watermark at zero: its first report resyncs fresh
+    /// metrics with the recovered totals.
+    pub fn take_stats(&mut self) -> Option<(u64, u64)> {
+        let total = (self.events_in, self.events_filtered);
+        let delta = (total.0 - self.reported.0, total.1 - self.reported.1);
+        self.reported = total;
+        (delta != (0, 0)).then_some(delta)
+    }
+
+    /// Restarts the [`SliceFilter::take_stats`] watermark at zero, as
+    /// after a restore: the next call reports lifetime totals. For a
+    /// filter whose earlier reports went to a metrics block that was
+    /// thrown away (WAL replay).
+    pub fn rewind_stats(&mut self) {
+        self.reported = (0, 0);
+    }
+
     /// Exports the dynamic state for a snapshot.
     pub fn export(&self) -> SliceState {
         SliceState {
             holds: self.holds.clone(),
-            pending: self.pending.clone(),
             events_in: self.events_in,
             events_filtered: self.events_filtered,
         }
@@ -130,11 +142,10 @@ impl SliceFilter {
     /// Restores dynamic state exported by [`SliceFilter::export`] from
     /// a filter built over the same predicate.
     pub fn restore(&mut self, state: &SliceState) -> Result<(), &'static str> {
-        if state.holds.len() != self.holds.len() || state.pending.len() != self.pending.len() {
+        if state.holds.len() != self.holds.len() {
             return Err("slice state shape does not match predicate");
         }
         self.holds.clone_from(&state.holds);
-        self.pending.clone_from(&state.pending);
         self.events_in = state.events_in;
         self.events_filtered = state.events_filtered;
         Ok(())
@@ -161,19 +172,23 @@ mod tests {
         let (mut f, x, _) = setup();
         let d = f.advance(0, [x], || true);
         assert_eq!(d, SliceDelta::Enter { j_cut: None });
-        assert_eq!(f.take_pending(0), 0);
         assert_eq!((f.events_in(), f.events_filtered()), (1, 0));
     }
 
     #[test]
-    fn false_states_accumulate_pending_skips() {
+    fn false_states_are_filtered_and_reported_once() {
         let (mut f, x, _) = setup();
+        assert_eq!(f.take_stats(), None, "nothing observed yet");
         assert!(!f.advance(0, [x], || false).is_member());
         assert!(!f.advance(0, [x], || false).is_member());
         assert!(f.advance(0, [x], || true).is_member());
-        assert_eq!(f.take_pending(0), 2);
-        assert_eq!(f.take_pending(0), 0);
         assert_eq!((f.events_in(), f.events_filtered()), (3, 2));
+        assert_eq!(f.take_stats(), Some((3, 2)));
+        assert_eq!(f.take_stats(), None, "watermark advanced");
+        assert!(!f.advance(0, [x], || false).is_member());
+        assert_eq!(f.take_stats(), Some((1, 1)));
+        f.rewind_stats();
+        assert_eq!(f.take_stats(), Some((4, 3)), "lifetime totals");
     }
 
     #[test]
@@ -206,7 +221,7 @@ mod tests {
                 reason: SkipReason::NonParticipating
             }
         );
-        assert_eq!(f.take_pending(1), 1);
+        assert_eq!(f.events_filtered(), 1);
     }
 
     #[test]
@@ -221,9 +236,12 @@ mod tests {
         fresh.restore(&state).unwrap();
         assert_eq!(fresh.export(), state);
         // The restored filter continues exactly where the original
-        // left off: same cache, same pending counts.
-        assert_eq!(fresh.take_pending(0), f.take_pending(0));
-        assert_eq!(fresh.take_pending(1), f.take_pending(1));
+        // left off: an untouched event reuses the restored cache.
+        assert!(fresh
+            .advance(0, std::iter::empty::<VarId>(), || panic!(
+                "eval on untouched clause"
+            ))
+            .is_member());
 
         let bad = SliceState {
             holds: vec![true],

@@ -30,7 +30,7 @@
 //!   `I_p`/`F_p`/`J_p` walks run on demand over the observed prefix.
 //! - [`SliceFilter`] is the O(1)-per-event production distillation
 //!   used by the monitor's ingest path: it decides only *membership*
-//!   and counts the states a fronted detector may skip.
+//!   — which states a fronted detector may skip.
 //!
 //! # Why filtering preserves verdicts exactly
 //!
@@ -39,8 +39,8 @@
 //! only for participating, clause-true states — pushes a candidate
 //! `(state, clock)` and rechecks the queue heads. A skipped
 //! observation therefore influences the detector *only* through the
-//! counter. [`SliceFilter`] accumulates skipped counts per process and
-//! the session flushes them with
+//! counter. The session counts the events [`SliceFilter`] skips per
+//! process and flushes them with
 //! `OnlineMonitor::skip_states` immediately before the next admitted
 //! event of that process, so every candidate is pushed with exactly
 //! the `(state, clock)` pair the unsliced run would have used, every
