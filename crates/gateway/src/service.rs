@@ -1255,11 +1255,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) -> bool {
             }
             Ok(None) => break, // clean disconnect; routed sessions stay
             Err(e) => {
-                let _ = sink_tx.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: e.to_string(),
-                });
+                client_error(inner, &sink_tx, None, None, e.to_string());
                 break;
             }
         }

@@ -19,7 +19,7 @@ use hb_tracefmt::wire::{
     WireVerdict,
 };
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -559,6 +559,31 @@ fn no_healthy_backend_is_reported_not_hung() {
         version: wire::WIRE_VERSION,
     });
     assert!(matches!(client.recv(), ServerMsg::Welcome { .. }));
+}
+
+#[test]
+fn a_frame_that_cannot_be_read_is_counted_as_a_protocol_error() {
+    let (gw_addr, _gw) = start_gateway(vec!["127.0.0.1:1".into()]);
+    let mut garbled = Client::connect(&gw_addr);
+    garbled
+        .w
+        .write_all(b"this is not a frame\n")
+        .and_then(|()| garbled.w.flush())
+        .expect("send garbage");
+    match garbled.recv() {
+        ServerMsg::Error {
+            session: None,
+            kind: None,
+            message,
+        } => assert!(message.contains("bad frame header byte"), "{message}"),
+        other => panic!("unexpected frame: {other:?}"),
+    }
+    let mut client = Client::connect(&gw_addr);
+    client.send(&ClientMsg::Stats);
+    match client.recv() {
+        ServerMsg::Stats { counters } => assert_eq!(counters["gateway_protocol_errors"], 1),
+        other => panic!("unexpected frame: {other:?}"),
+    }
 }
 
 // ---- distributed sessions -------------------------------------------------

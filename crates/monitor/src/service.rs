@@ -25,9 +25,12 @@
 //! Sessions are sharded by a hash of the session name, so one session's
 //! events are always handled by one thread (per-session order
 //! preserved, no locks on the hot path) while independent sessions
-//! proceed in parallel. Each client supplies a **sink** channel at open
-//! time; verdicts, errors, and close notifications flow back through it
-//! asynchronously.
+//! proceed in parallel. A shard's queue is bounded
+//! (`SHARD_QUEUE_FRAMES`): a client that sends faster than its shard
+//! detects waits in `submit` — and so, over TCP, in its socket — instead
+//! of growing a heap of decoded frames. Each client supplies a **sink**
+//! channel at open time; verdicts, errors, and close notifications flow
+//! back through it asynchronously.
 //!
 //! # Durability
 //!
@@ -56,12 +59,12 @@ use crate::member::{error_frame, Member, Out, GATEWAY_ONLY};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::persist::{PersistConfig, ServiceSnapshot};
 use crate::session::SessionLimits;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use hb_store::{Store, StoreError, StoreOptions};
 use hb_tracefmt::dial;
 use hb_tracefmt::wire::{self, ClientMsg, ServerMsg, WireDistRole};
+use hb_tracefmt::TraceError;
 use parking_lot::Mutex;
-use serde::{Deserialize as _, Serialize as _};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -166,6 +169,16 @@ fn unix_now_secs() -> u64 {
         .map(|d| d.as_secs())
         .unwrap_or(0)
 }
+
+/// Messages a shard's queue holds before [`MonitorHandle::submit`]
+/// blocks. Decoding an `events` frame costs less than detecting over
+/// it, so a reader thread left to itself runs ahead of the shard by as
+/// much as the client cares to send (a third more resident memory on
+/// the benchmark's `wire-stream`, growing with the round). A shard
+/// waits for nothing a submitter holds — replies go to unbounded sinks,
+/// the WAL lock is the submitter's alone — so blocking here cannot
+/// deadlock, snapshot barrier included.
+const SHARD_QUEUE_FRAMES: usize = 16;
 
 /// A sink whose receiver is already gone: sends are silently dropped.
 /// WAL replay answers into one, and recovered members keep it until a
@@ -405,12 +418,13 @@ fn recover(
     let mut replayed = 0u64;
     for rec in store.replay(from_seq) {
         let (seq, payload) = rec?;
-        let text = std::str::from_utf8(&payload)
-            .map_err(|e| StoreError::Corrupt(format!("wal record {seq} is not UTF-8: {e}")))?;
-        let value = serde_json::parse_value(text)
-            .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
-        let msg = ClientMsg::from_value(&value)
-            .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
+        let msg: ClientMsg = wire::decode_body(&payload).map_err(|e| {
+            let cause = match e {
+                TraceError::Json(e) => e.to_string(),
+                TraceError::Invalid(cause) => cause,
+            };
+            StoreError::Corrupt(format!("wal record {seq}: {cause}"))
+        })?;
         if let Some(name) = msg.session() {
             let shard = shard_index_of(name, shards.len());
             shards[shard].handle(msg, &nowhere, &scratch);
@@ -516,7 +530,7 @@ impl MonitorService {
         let mut senders = Vec::with_capacity(shards.len());
         let mut workers = Vec::with_capacity(shards.len());
         for (index, shard) in shards.into_iter().enumerate() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = bounded(SHARD_QUEUE_FRAMES);
             let metrics = Arc::clone(&metrics);
             workers.push(
                 std::thread::Builder::new()
@@ -632,10 +646,10 @@ impl MonitorHandle {
         let Some(session) = msg.session() else { return };
         let shard = &self.shards[shard_index_of(session, self.shards.len())];
         // One record per message — a batch is appended atomically.
-        let logged = self.wal.as_ref().map(|wal| {
-            let payload = serde_json::to_string(&msg.to_value()).expect("wire message serializes");
-            (wal, payload)
-        });
+        // The canonical encoding of the decoded message, not the bytes
+        // the client sent: what is on disk does not depend on how a
+        // client spaces or orders its JSON.
+        let logged = self.wal.as_ref().map(|wal| (wal, wire::encode_body(&msg)));
         let cmd = Cmd::Msg {
             msg,
             sink: sink.clone(),
@@ -787,11 +801,7 @@ fn serve_connection(stream: TcpStream, handle: MonitorHandle) -> bool {
             }
             Ok(None) => break, // clean disconnect
             Err(e) => {
-                let _ = sink_tx.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: e.to_string(),
-                });
+                handle.answer(&sink_tx, error_frame(None, None, e.to_string()));
                 break; // framing is broken; no way to resync safely
             }
         }

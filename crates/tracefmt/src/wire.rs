@@ -23,7 +23,9 @@
 use crate::TraceError;
 use serde::{help, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
+
+mod hot;
 
 /// Frames larger than this are rejected without being read (16 MiB).
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -930,6 +932,10 @@ impl Serialize for ClientMsg {
             ClientMsg::Shutdown => Value::Object(vec![("type".into(), "shutdown".to_value())]),
         }
     }
+
+    fn write_json(&self, out: &mut String) -> bool {
+        hot::encode_client(self, out)
+    }
 }
 
 impl Deserialize for ClientMsg {
@@ -986,6 +992,10 @@ impl Deserialize for ClientMsg {
             "shutdown" => Ok(ClientMsg::Shutdown),
             other => Err(DeError::msg(format!("unknown client message '{other}'"))),
         }
+    }
+
+    fn from_json_bytes(json: &[u8]) -> Option<Self> {
+        hot::decode_client(json)
     }
 }
 
@@ -1052,6 +1062,10 @@ impl Serialize for ServerMsg {
             ServerMsg::Bye => Value::Object(vec![("type".into(), "bye".to_value())]),
         }
     }
+
+    fn write_json(&self, out: &mut String) -> bool {
+        hot::encode_server(self, out)
+    }
 }
 
 impl Deserialize for ServerMsg {
@@ -1097,57 +1111,63 @@ impl Deserialize for ServerMsg {
 
 // ---- framing --------------------------------------------------------------
 
+/// The JSON document a frame carries for `msg`: the per-event frames
+/// written in one pass, everything else printed from `msg.to_value()`
+/// — the same bytes either way. Also the canonical form the monitor's
+/// write-ahead log stores.
+pub fn encode_body<T: Serialize>(msg: &T) -> String {
+    let mut body = String::new();
+    if !msg.write_json(&mut body) {
+        body = serde_json::to_string(msg).expect("wire values serialize");
+    }
+    body
+}
+
+/// A frame's JSON document back into its message — the one place that
+/// knows how. The per-event frames in plain shape are read in one pass;
+/// whatever that pass does not take goes through the `Value` tree,
+/// which decides what is accepted and words every rejection.
+///
+/// Returns [`TraceError::Invalid`] for a body that is not UTF-8 and
+/// [`TraceError::Json`] for malformed or misshapen JSON.
+pub fn decode_body<T: Deserialize>(body: &[u8]) -> Result<T, TraceError> {
+    if let Some(msg) = T::from_json_bytes(body) {
+        return Ok(msg);
+    }
+    let text = std::str::from_utf8(body)
+        .map_err(|_| TraceError::Invalid("frame body is not UTF-8".into()))?;
+    let value = serde_json::parse_value(text)?;
+    Ok(T::from_value(&value).map_err(serde_json::Error::from)?)
+}
+
 /// Writes one frame: `<len> <json>\n`.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> std::io::Result<()> {
-    let body = serde_json::to_string(&msg.to_value()).expect("wire values serialize");
+    let body = encode_body(msg);
     writeln!(w, "{} {}", body.len(), body)?;
     w.flush()
 }
+
+/// Body bytes allocated before any of them arrived. The length prefix
+/// is attacker-controlled: a frame that *claims* 16 MiB but delivers 10
+/// bytes must cost this much, not 16 MiB; a longer body grows the
+/// buffer as it actually comes in.
+const BODY_PREALLOC_BYTES: usize = 64 << 10;
 
 /// Reads one frame; `Ok(None)` signals a clean end of stream.
 ///
 /// Returns a [`TraceError::Invalid`] on malformed framing and
 /// [`TraceError::Json`] on malformed JSON inside a well-formed frame.
 pub fn read_frame<R: BufRead, T: Deserialize>(r: &mut R) -> Result<Option<T>, TraceError> {
-    // Length prefix: ASCII digits up to the first space.
-    let mut prefix = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return if prefix.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(TraceError::Invalid("truncated frame header".into()))
-                };
-            }
-            Ok(_) => {}
-            Err(e) => return Err(TraceError::Invalid(format!("read error: {e}"))),
-        }
-        match byte[0] {
-            b' ' => break,
-            b'0'..=b'9' if prefix.len() < 12 => prefix.push(byte[0]),
-            other => {
-                return Err(TraceError::Invalid(format!(
-                    "bad frame header byte 0x{other:02x}"
-                )))
-            }
-        }
-    }
-    let len: usize = std::str::from_utf8(&prefix)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| TraceError::Invalid("bad frame length".into()))?;
-    if len > MAX_FRAME_BYTES {
+    let Some(len) = read_length(r)? else {
+        return Ok(None);
+    };
+    if len > MAX_FRAME_BYTES as u64 {
         return Err(TraceError::Invalid(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )));
     }
-    // Read through `take` instead of pre-allocating `len` bytes: the
-    // length prefix is attacker-controlled, and a frame that *claims*
-    // 16 MiB but delivers 10 bytes must cost 10 bytes, not 16 MiB.
-    use std::io::Read as _;
-    let mut body = Vec::new();
+    let len = len as usize;
+    let mut body = Vec::with_capacity(len.min(BODY_PREALLOC_BYTES));
     let got = r
         .by_ref()
         .take(len as u64)
@@ -1160,16 +1180,61 @@ pub fn read_frame<R: BufRead, T: Deserialize>(r: &mut R) -> Result<Option<T>, Tr
     }
     // The newline terminator.
     let mut nl = [0u8; 1];
-    std::io::Read::read_exact(r, &mut nl)
+    r.read_exact(&mut nl)
         .map_err(|e| TraceError::Invalid(format!("truncated frame terminator: {e}")))?;
     if nl[0] != b'\n' {
         return Err(TraceError::Invalid("frame not newline-terminated".into()));
     }
-    let text = String::from_utf8(body)
-        .map_err(|_| TraceError::Invalid("frame body is not UTF-8".into()))?;
-    let value = serde_json::parse_value(&text)?;
-    let msg = T::from_value(&value).map_err(serde_json::Error::from)?;
-    Ok(Some(msg))
+    decode_body(&body).map(Some)
+}
+
+/// The length prefix — up to 12 ASCII digits, then one space — taken
+/// from the reader's own buffer, however the bytes were split across
+/// reads. `Ok(None)` is the stream ending before a frame began.
+fn read_length<R: BufRead>(r: &mut R) -> Result<Option<u64>, TraceError> {
+    let (mut len, mut digits) = (0u64, 0);
+    loop {
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(TraceError::Invalid(format!("read error: {e}"))),
+        };
+        if buf.is_empty() {
+            return if digits == 0 {
+                Ok(None)
+            } else {
+                Err(TraceError::Invalid("truncated frame header".into()))
+            };
+        }
+        let mut used = 0;
+        let mut stop = None;
+        for &byte in buf {
+            used += 1;
+            match byte {
+                b'0'..=b'9' if digits < 12 => {
+                    len = len * 10 + u64::from(byte - b'0');
+                    digits += 1;
+                }
+                other => {
+                    stop = Some(other);
+                    break;
+                }
+            }
+        }
+        r.consume(used);
+        match stop {
+            None => {} // the buffer ended inside the prefix
+            Some(b' ') if digits == 0 => {
+                return Err(TraceError::Invalid("bad frame length".into()));
+            }
+            Some(b' ') => return Ok(Some(len)),
+            Some(other) => {
+                return Err(TraceError::Invalid(format!(
+                    "bad frame header byte 0x{other:02x}"
+                )));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -83,12 +83,30 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Serializes `self` into a [`Value`].
     fn to_value(&self) -> Value;
+
+    /// Appends `self` as compact JSON straight to `out` — byte for byte
+    /// what printing [`Serialize::to_value`] gives — and returns `true`;
+    /// or returns `false` with `out` untouched when this value has no
+    /// direct encoder, and the caller prints the [`Value`] instead.
+    fn write_json(&self, _out: &mut String) -> bool {
+        false
+    }
 }
 
 /// Conversion from the [`Value`] data model.
 pub trait Deserialize: Sized {
     /// Deserializes from a [`Value`], validating the shape.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Decodes a whole JSON document in one pass, without building a
+    /// [`Value`]. `None` means "not mine", never "invalid": the caller
+    /// then parses the text and calls [`Deserialize::from_value`], which
+    /// alone decides what is accepted and how a rejection reads. An
+    /// implementation may therefore give up on anything unusual, but
+    /// must return exactly what that route would for whatever it takes.
+    fn from_json_bytes(_json: &[u8]) -> Option<Self> {
+        None
+    }
 }
 
 // ---- primitive impls ------------------------------------------------------

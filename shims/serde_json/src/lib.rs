@@ -298,7 +298,10 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 
 // ---- printing -------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, quotes included: the one place
+/// that knows which characters the printer escapes, for encoders that
+/// write JSON text without a [`Value`].
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
