@@ -11,10 +11,11 @@
 //! * `slice` — the \[9\]-flavored route: build the slice
 //!   (`O(n|E|²)` here), then walk with slice membership tests.
 //!
-//! Expectation: slice-based `EG` trails A1 by a growing factor; both A1
-//! variants are dominated by the `O(n)` maximality test per candidate,
-//! so their gap is a constant factor (documented honestly in
-//! EXPERIMENTS.md).
+//! Both A1 variants find maximal events from per-process blocker counts
+//! in `O(n)` per step. Expectation: slice-based `EG` trails A1 by a
+//! factor that grows with `n`. Naive A1 adds an `O(n)` evaluation per
+//! candidate tried; here the first maximal candidate always qualifies,
+//! so it trails incremental A1 by a constant factor (see EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hb_detect::{eg_conjunctive, eg_linear};

@@ -464,31 +464,35 @@ fn fig4() {
 
 /// S1: the §5 complexity-improvement ablation — A1 with incremental
 /// conjunctive checks vs naive re-evaluation vs the slice-based
-/// `EG(regular)` of \[9\].
+/// `EG(regular)` of \[9\]. Each time is followed by its ns per event:
+/// flat in `n` for an `O(n|E|)` algorithm on this family, whose `|E|`
+/// grows linearly in `n`, means linear in `n` per event.
 fn s1() {
     header("S1: A1 ablation — incremental vs naive vs slice-based [9]");
     println!(
-        "{:>4} {:>9} {:>12} {:>12} {:>14}",
-        "n", "|E|", "A1 incr", "A1 naive", "slice EG [9]"
+        "{:>4} {:>9} {:>10} {:>9} {:>10} {:>9} {:>12} {:>9}",
+        "n", "|E|", "A1 incr", "ns/ev", "A1 naive", "ns/ev", "slice EG [9]", "ns/ev"
     );
-    for n in [2usize, 4, 8, 16, 32] {
-        let t = token_ring_mutex(n.max(2), 6, 3);
-        let sane = Conjunctive::new(
-            (0..n.max(2))
-                .map(|i| (i, LocalExpr::ge(t.try_var, 0)))
-                .collect(),
-        );
+    for n in [2usize, 4, 8, 16, 32, 64, 128] {
+        let t = token_ring_mutex(n, 6, 3);
+        let sane = Conjunctive::new((0..n).map(|i| (i, LocalExpr::ge(t.try_var, 0))).collect());
         let (v1, incr) = time(|| eg_conjunctive(&t.comp, &sane).holds);
         let (v2, naive) = time(|| eg_linear(&t.comp, &sane).holds);
         let (v3, slice) = time(|| eg_regular_via_slice(&t.comp, &sane).holds);
         assert!(v1 == v2 && v2 == v3);
+        let events = t.comp.num_events();
+        let per_event =
+            |d: std::time::Duration| format!("{:.0}", d.as_nanos() as f64 / events as f64);
         println!(
-            "{:>4} {:>9} {:>12} {:>12} {:>14}",
-            n.max(2),
-            t.comp.num_events(),
+            "{:>4} {:>9} {:>10} {:>9} {:>10} {:>9} {:>12} {:>9}",
+            n,
+            events,
             fmt_duration(incr),
+            per_event(incr),
             fmt_duration(naive),
-            fmt_duration(slice)
+            per_event(naive),
+            fmt_duration(slice),
+            per_event(slice)
         );
     }
 }

@@ -1,8 +1,10 @@
 //! Restriction and reversal of computations.
 //!
 //! * [`Computation::restricted_to`] — the sub-computation induced by a
-//!   consistent cut (needed by the paper's Algorithm A3, which checks
-//!   `EG(p)` on `I_q − {e}` for each maximal event `e` of `I_q`).
+//!   consistent cut: the object the paper's Algorithm A3 checks `EG(p)`
+//!   on, `I_q − {e}` for each maximal event `e` of `I_q`. It keeps every
+//!   clock and state below the cut, so A3 walks the original computation
+//!   from that cut instead, and tests use this copy as the reference.
 //! * [`Computation::reversed`] — the order-dual computation, used to test
 //!   the join-/meet-irreducible duality and to derive post-linear
 //!   algorithms from linear ones.

@@ -8,19 +8,25 @@
 //! witness path; if some cut has no satisfying predecessor, `EG(p)` is
 //! false.
 //!
-//! Two implementations are provided:
+//! Both entry points share one backward walker. The predecessors of `W`
+//! are `W − e_j` for the maximal last events `e_j`, and the walker keeps
+//! `blockers[j]`: how many frontier events of other processes know `e_j`.
+//! So `e_j` is maximal iff `blockers[j] == 0`. Retreating `j` changes
+//! one frontier clock, which costs two row updates (old and new clock)
+//! plus a recount of column `j`. That is the `O(n)`-per-step predecessor
+//! enumeration the paper's `O(n|E|)` bound assumes. Candidates are tried
+//! lowest process first.
 //!
-//! * [`eg_linear`] — the literal algorithm over any [`LinearPredicate`],
-//!   re-evaluating `p` on each candidate predecessor (`O(n·eval)` per
-//!   step, `O(n²|E|)` for conjunctive predicates);
-//! * [`eg_conjunctive`] — the incremental variant realizing the paper's
-//!   `O(n|E|)` bound's assumption: retreating process `j` only changes
-//!   `j`'s clause, so the predicate check per candidate is `O(1)`.
+//! * [`eg_linear`] — over any [`LinearPredicate`]: each candidate
+//!   predecessor is evaluated in full (`O(n + n·eval)` per step);
+//! * [`eg_conjunctive`] — retreating `j` only changes `j`'s clause, so the
+//!   check per candidate is `O(1)` and a step is `O(n)`: `O(n|E|)` in
+//!   all, after an `O(n²)` count at the start.
 //!
 //! The duals for post-linear predicates walk forward from the initial cut
 //! ([`eg_post_linear`]).
 
-use hb_computation::{Computation, Cut};
+use hb_computation::{Computation, Cut, EventId};
 use hb_predicates::{Conjunctive, LinearPredicate, PostLinearPredicate, Predicate};
 
 /// Outcome of an `EG` detection.
@@ -36,98 +42,138 @@ pub struct EgReport {
 
 /// Algorithm A1: detects `EG(p)` for a linear predicate `p`.
 pub fn eg_linear<P: LinearPredicate + ?Sized>(comp: &Computation, p: &P) -> EgReport {
-    eg_backward_walk(comp, |g| p.eval(comp, g))
+    let start = comp.final_cut();
+    if !p.eval(comp, &start) {
+        return EgReport::fails(1);
+    }
+    Walker::new(comp, start).run(|w, j| {
+        // Evaluate `w − e_j` in place; the walker restores `w`.
+        let c = w.get(j);
+        w.set(j, c - 1);
+        let sat = p.eval(comp, w);
+        w.set(j, c);
+        sat
+    })
 }
 
 /// Algorithm A1 with the incremental conjunctive check: when `W` satisfies
 /// the conjunction, the predecessor `W − e_j` satisfies it iff `j`'s
 /// clause holds in `j`'s previous state.
 pub fn eg_conjunctive(comp: &Computation, p: &Conjunctive) -> EgReport {
-    let final_cut = comp.final_cut();
-    if !p.eval(comp, &final_cut) {
-        return EgReport {
+    eg_conjunctive_below(comp, p, comp.final_cut())
+}
+
+/// [`eg_conjunctive`] on the sub-computation of the consistent cut `top`,
+/// walked in place: below `top` the sub-computation has the same clocks
+/// and states as `comp`. Algorithm A3 runs it from each `I_q − e`.
+pub(crate) fn eg_conjunctive_below(comp: &Computation, p: &Conjunctive, top: Cut) -> EgReport {
+    if !p.eval(comp, &top) {
+        return EgReport::fails(1);
+    }
+    Walker::new(comp, top).run(|w, j| p.clause_holds_at(comp, j, w.get(j) - 1))
+}
+
+impl EgReport {
+    fn fails(steps: usize) -> EgReport {
+        EgReport {
             holds: false,
             witness: None,
-            steps: 1,
-        };
-    }
-    let mut w = final_cut;
-    let mut path = vec![w.clone()];
-    let mut steps = 1usize;
-    while w.rank() > 0 {
-        steps += 1;
-        // Invariant: w satisfies p, so only the retreating process's
-        // clause needs re-checking.
-        let chosen = (0..w.width()).find(|&j| {
-            w.get(j) > 0 && p.clause_holds_at(comp, j, w.get(j) - 1) && comp.can_retreat(&w, j)
-        });
-        match chosen {
-            Some(j) => {
-                w = w.retreated(j);
-                path.push(w.clone());
-            }
-            None => {
-                return EgReport {
-                    holds: false,
-                    witness: None,
-                    steps,
-                }
-            }
+            steps,
         }
-    }
-    path.reverse();
-    EgReport {
-        holds: true,
-        witness: Some(path),
-        steps,
     }
 }
 
-/// Shared backward walk used by [`eg_linear`].
-fn eg_backward_walk(comp: &Computation, sat: impl Fn(&Cut) -> bool) -> EgReport {
-    let final_cut = comp.final_cut();
-    if !sat(&final_cut) {
-        return EgReport {
-            holds: false,
-            witness: None,
-            steps: 1,
+/// The backward walk of A1 over a consistent cut `w`, with
+/// `blockers[i]` = the number of processes `k ≠ i` whose frontier event
+/// knows at least `w[i]` events of `P_i`. For `w[i] > 0` that is "`e_i` is not
+/// maximal"; the count is kept for every `i` so the updates stay uniform.
+struct Walker<'a> {
+    comp: &'a Computation,
+    w: Cut,
+    rank: u32,
+    /// The clock of each process's last included event.
+    front: Vec<Option<&'a [u32]>>,
+    blockers: Vec<u32>,
+}
+
+impl<'a> Walker<'a> {
+    fn new(comp: &'a Computation, w: Cut) -> Self {
+        let n = w.width();
+        let front: Vec<Option<&'a [u32]>> =
+            (0..n).map(|k| frontier_clock(comp, k, w.get(k))).collect();
+        let mut walker = Walker {
+            comp,
+            rank: w.rank(),
+            w,
+            front,
+            blockers: vec![0; n],
         };
+        for i in 0..n {
+            walker.blockers[i] = walker.count_blockers(i);
+        }
+        walker
     }
-    let mut w = final_cut;
-    let mut path = vec![w.clone()];
-    let mut steps = 1usize;
-    while w.rank() > 0 {
-        steps += 1;
-        let mut next = None;
-        for j in 0..w.width() {
-            if w.get(j) > 0 && comp.can_retreat(&w, j) {
-                let g = w.retreated(j);
-                if sat(&g) {
-                    next = Some(g);
-                    break;
-                }
+
+    /// Blockers of column `i`, counted from scratch: `O(n)`.
+    fn count_blockers(&self, i: usize) -> u32 {
+        let c = self.w.get(i);
+        self.front
+            .iter()
+            .enumerate()
+            .filter(|&(k, v)| k != i && v.is_some_and(|v| v[i] >= c))
+            .count() as u32
+    }
+
+    /// Removes the last included event of `j`, which must be maximal.
+    fn retreat(&mut self, j: usize) {
+        let old = self.front[j].expect("retreating process has events");
+        let c = self.w.get(j) - 1;
+        self.w.set(j, c);
+        self.rank -= 1;
+        let new = frontier_clock(self.comp, j, c);
+        self.front[j] = new;
+        // Row j: `j`'s frontier event changed; other columns keep their w.
+        for (i, b) in self.blockers.iter_mut().enumerate() {
+            if i != j {
+                let ci = self.w.get(i);
+                *b -= u32::from(old[i] >= ci);
+                *b += u32::from(new.is_some_and(|v| v[i] >= ci));
             }
         }
-        match next {
-            Some(g) => {
-                w = g;
-                path.push(w.clone());
-            }
-            None => {
-                return EgReport {
-                    holds: false,
-                    witness: None,
-                    steps,
+        // Column j: w[j] changed.
+        self.blockers[j] = self.count_blockers(j);
+    }
+
+    /// Walks to the initial cut, taking at each step the lowest maximal
+    /// `e_j` for which `step_ok(w, j)` says `w − e_j` satisfies `p`. The
+    /// starting cut must satisfy `p`; `step_ok` must leave `w` unchanged.
+    fn run(mut self, mut step_ok: impl FnMut(&mut Cut, usize) -> bool) -> EgReport {
+        let mut path = vec![self.w.clone()];
+        let mut steps = 1usize;
+        while self.rank > 0 {
+            steps += 1;
+            let chosen = (0..self.w.width())
+                .find(|&j| self.w.get(j) > 0 && self.blockers[j] == 0 && step_ok(&mut self.w, j));
+            match chosen {
+                Some(j) => {
+                    self.retreat(j);
+                    path.push(self.w.clone());
                 }
+                None => return EgReport::fails(steps),
             }
         }
+        path.reverse();
+        EgReport {
+            holds: true,
+            witness: Some(path),
+            steps,
+        }
     }
-    path.reverse();
-    EgReport {
-        holds: true,
-        witness: Some(path),
-        steps,
-    }
+}
+
+/// The clock of the last of the first `c` events of process `k`.
+fn frontier_clock(comp: &Computation, k: usize, c: u32) -> Option<&[u32]> {
+    (c > 0).then(|| comp.clock(EventId::new(k, c as usize - 1)).components())
 }
 
 /// The dual of A1 for post-linear predicates: walk forward from the

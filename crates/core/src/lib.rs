@@ -13,21 +13,23 @@
 //! |---|---|---|---|
 //! | Chase–Garg \[4\] | [`ef_linear`] | linear | `O(n·|E|)` |
 //! | dual of \[4\] | [`ef_post_linear`] | post-linear | `O(n·|E|)` |
-//! | **Algorithm A1** | [`eg_linear`] | linear | `O(n²·|E|)` naive, see [`eg_conjunctive`] |
-//! | **Algorithm A2** | [`ag_linear`] | linear | `O(n·|E|·log|E|)` |
-//! | **Algorithm A3** | [`eu_conjunctive_linear`] | `E[conj U linear]` | `O(n²·|E|)` |
-//! | §7 identity | [`au_disjunctive`] | `A[disj U disj]` | `O(n²·|E|)` |
+//! | **Algorithm A1** | [`eg_linear`], [`eg_conjunctive`] | linear | `O(n·|E|)` walk; [`eg_linear`] adds `≤ n` evaluations per step |
+//! | **Algorithm A2** | [`ag_linear`] | linear | `O(n·|E|)` sweep + `|E|+1` evaluations |
+//! | **Algorithm A3** | [`eu_conjunctive_linear`] | `E[conj U linear]` | one A1 walk per maximal event of `I_q`: `O(n²·|E|)` worst case |
+//! | §7 identity | [`au_disjunctive`] | `A[disj U disj]` | A1 + A3 |
 //! | Garg–Waldecker \[11\] cell | [`eg_disjunctive`], [`af_conjunctive`] | disjunctive / conjunctive | polynomial (token-interval reconstruction, see module docs) |
 //! | trivial cells | [`stable`] module | stable | `O(eval)` |
 //! | Charron-Bost \[3\] | [`ef_observer_independent`] | observer-independent | `O(|E|·eval)` |
 //! | baseline | [`ModelChecker`] | arbitrary | `O(|C(E)|·n)` — exponential |
 //! | future work (on-line) | [`online`] module | conjunctive / disjunctive | `O(n|E|)` amortized |
 //!
-//! The paper states A1 as `O(n|E|)` assuming an `O(1)` per-predecessor
-//! predicate check; [`eg_linear`] re-evaluates predicates naively while
-//! [`eg_conjunctive`] implements the incremental check that realizes the
-//! assumption for conjunctive predicates. The ablation benchmark
-//! (experiment S1 in `DESIGN.md`) measures the gap.
+//! The paper states A1 as `O(n|E|)` assuming an `O(n)` per-step
+//! predecessor enumeration and an `O(1)` per-predecessor predicate check.
+//! Both A1 entry points share a walker that enumerates maximal events from
+//! per-process blocker counts in `O(n)` per step; [`eg_linear`] then
+//! re-evaluates the predicate on each candidate while [`eg_conjunctive`]
+//! checks only the retreating process's clause. The ablation benchmark
+//! (experiment S1 in `DESIGN.md`) measures the difference.
 //!
 //! # Example: Algorithm A1
 //!

@@ -12,13 +12,17 @@
 //!    sub-computation `I_q − {e}` with Algorithm A1; if any check passes,
 //!    appending `I_q` to A1's witness yields the `E[p U q]` witness.
 //!
+//! A1's backward walk starts at `I_q − {e}` on the computation itself:
+//! below that cut the sub-computation has the same clocks and states, so
+//! no copy is made.
+//!
 //! `A[p U q]` for disjunctive `p, q` uses
 //! `A[p U q] ⟺ ¬(EG(¬q) ∨ E[¬q U (¬p ∧ ¬q)])`: `¬q` is conjunctive, so
 //! `EG(¬q)` is Algorithm A1 and `E[¬q U (¬p ∧ ¬q)]` is Algorithm A3 with
 //! a conjunctive (hence linear) target.
 
 use crate::ef::ef_linear;
-use crate::eg::eg_conjunctive;
+use crate::eg::{eg_conjunctive, eg_conjunctive_below};
 use hb_computation::{Computation, Cut};
 use hb_predicates::{Conjunctive, Disjunctive, LinearPredicate};
 
@@ -70,11 +74,10 @@ pub fn eu_conjunctive_linear<Q: LinearPredicate + ?Sized>(
         };
     }
 
-    // Step 2: EG(p) on I_q − {e} for each maximal event e of I_q.
+    // Step 2: EG(p) on the sub-computation I_q − {e} for each maximal
+    // event e of I_q, walked in place on `comp`.
     for e in comp.maximal_events(&i_q) {
-        let e_prime = i_q.retreated(e.process);
-        let sub = comp.restricted_to(&e_prime);
-        let r = eg_conjunctive(&sub, p);
+        let r = eg_conjunctive_below(comp, p, i_q.retreated(e.process));
         if r.holds {
             let mut path = r.witness.expect("EG holds implies witness");
             path.push(i_q.clone());
