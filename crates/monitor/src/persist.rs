@@ -22,7 +22,7 @@ use hb_detect::online::{
 };
 use hb_slice::SliceState;
 use hb_store::SyncPolicy;
-use hb_tracefmt::wire::WirePredicate;
+use hb_tracefmt::wire::{SliceUpdateBody, WirePredicate};
 use serde::{help, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -161,34 +161,28 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// Serializes to the snapshot payload format (JSON): the text of
-    /// `to_value()`, printed one member at a time. A member's `Value`
-    /// tree is some twenty times its text, and a busy service's
-    /// snapshot is megabytes of text; built whole, the tree was the
-    /// process's peak memory.
+    /// Serializes to the snapshot payload format (JSON): byte for byte
+    /// the text of `to_value()`, written without building the tree. A
+    /// member's `Value` tree is some twenty times its text, and a busy
+    /// service's snapshot is megabytes of text, so the trees would be
+    /// most of a snapshot's time and of the process's peak memory. The
+    /// detector states — candidate queues, pattern frontiers and
+    /// candidates, the bulk of every snapshot — go straight into the
+    /// text; small fields, and worker members, are printed from their
+    /// `Value`s.
     pub fn to_json(&self) -> String {
-        fn members<T: Serialize>(out: &mut String, items: &[T]) {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&serde_json::to_string(item).expect("member serializes"));
-            }
-            out.push(']');
-        }
-        let mut out = String::from("{\"version\":1,\"sessions\":");
-        members(&mut out, &self.sessions);
+        let mut out = String::new();
+        let mut obj = Obj::new(&mut out);
+        obj.field("version", &1u32)
+            .field("sessions", &self.sessions);
         // As in `to_value`: written only when present.
         if !self.workers.is_empty() {
-            out.push_str(",\"workers\":");
-            members(&mut out, &self.workers);
+            obj.field("workers", &self.workers);
         }
         if !self.aggregators.is_empty() {
-            out.push_str(",\"aggregators\":");
-            members(&mut out, &self.aggregators);
+            obj.field("aggregators", &self.aggregators);
         }
-        out.push('}');
+        obj.end();
         out
     }
 
@@ -197,6 +191,291 @@ impl ServiceSnapshot {
         let text = std::str::from_utf8(payload).map_err(|e| format!("snapshot not UTF-8: {e}"))?;
         let value = serde_json::parse_value(text).map_err(|e| format!("snapshot JSON: {e}"))?;
         ServiceSnapshot::from_value(&value).map_err(|e| format!("snapshot shape: {e}"))
+    }
+}
+
+// ---- direct JSON ---------------------------------------------------------
+
+/// Compact JSON written straight into `out`: byte for byte what
+/// printing the value's `to_value()` writes.
+trait Json {
+    fn json(&self, out: &mut String);
+}
+
+/// An object being written: `{` when opened, `"key":value` per field,
+/// `}` at [`Obj::end`].
+struct Obj<'o> {
+    out: &'o mut String,
+    first: bool,
+}
+
+impl<'o> Obj<'o> {
+    fn new(out: &'o mut String) -> Obj<'o> {
+        out.push('{');
+        Obj { out, first: true }
+    }
+
+    fn field(&mut self, key: &str, value: &dyn Json) -> &mut Self {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        serde_json::escape_into(self.out, key);
+        self.out.push(':');
+        value.json(self.out);
+        self
+    }
+
+    fn end(self) {
+        self.out.push('}');
+    }
+}
+
+/// A value printed from its `Value` tree: for the small fields.
+struct Tree<'a, T>(&'a T);
+
+impl<T: Serialize> Json for Tree<'_, T> {
+    fn json(&self, out: &mut String) {
+        out.push_str(&serde_json::to_string(self.0).expect("snapshot values serialize"));
+    }
+}
+
+/// Every integer is an `i64` in the `Value` (`as i64` is that
+/// conversion), printed in decimal.
+macro_rules! json_ints {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn json(&self, out: &mut String) {
+                serde_json::int_into(out, *self as i64);
+            }
+        }
+    )*};
+}
+
+json_ints!(u32, u64, usize, i64);
+
+impl Json for bool {
+    fn json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl Json for String {
+    fn json(&self, out: &mut String) {
+        serde_json::escape_into(out, self);
+    }
+}
+
+impl Json for &str {
+    fn json(&self, out: &mut String) {
+        serde_json::escape_into(out, self);
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<V: Json> Json for BTreeMap<String, V> {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        for (key, value) in self {
+            obj.field(key, value);
+        }
+        obj.end();
+    }
+}
+
+impl Json for VerdictState {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        match self {
+            VerdictState::Detected(cut) => obj.field("kind", &"detected").field("cut", cut),
+            VerdictState::Impossible => obj.field("kind", &"impossible"),
+            VerdictState::Pending => obj.field("kind", &"pending"),
+        };
+        obj.end();
+    }
+}
+
+impl Json for CandidateState {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        obj.field("state", &self.state).field("clock", &self.clock);
+        obj.end();
+    }
+}
+
+impl Json for PatternChainState {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        obj.field("join", &self.join).field("last", &self.last);
+        obj.end();
+    }
+}
+
+impl Json for DetectorState {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        match self {
+            DetectorState::Conjunctive(s) => obj
+                .field("kind", &"conjunctive")
+                .field("n", &s.n)
+                .field("queues", &s.queues)
+                .field("participating", &s.participating)
+                .field("seen", &s.seen)
+                .field("finished", &s.finished)
+                .field("verdict", &s.verdict),
+            DetectorState::Disjunctive(s) => obj
+                .field("kind", &"disjunctive")
+                .field("seen", &s.seen)
+                .field("live", &s.live)
+                .field("verdict", &s.verdict),
+            DetectorState::Pattern(s) => obj
+                .field("kind", &"pattern")
+                .field("n", &s.n)
+                .field("causal", &s.causal)
+                .field("frontiers", &s.frontiers)
+                .field("candidates", &s.candidates)
+                .field("finished", &s.finished)
+                .field("seen", &s.seen)
+                .field("verdict", &s.verdict),
+        };
+        obj.end();
+    }
+}
+
+/// As [`MonitorSnapshot::to_value`] lays it out.
+impl Json for MonitorSnapshot {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        obj.field("id", &self.id)
+            .field("emitted", &self.emitted)
+            .field("state", &self.state);
+        if let Some(slice) = &self.slice {
+            obj.field("slice", &SliceFields(slice, &self.pending));
+        } else if !self.pending.is_empty() {
+            obj.field("pending", &self.pending);
+        }
+        obj.end();
+    }
+}
+
+/// A sliced monitor's `slice` record, its pending skips inside.
+struct SliceFields<'a>(&'a SliceState, &'a Vec<u64>);
+
+impl Json for SliceFields<'_> {
+    fn json(&self, out: &mut String) {
+        let SliceFields(slice, pending) = self;
+        let mut obj = Obj::new(out);
+        obj.field("holds", &slice.holds)
+            .field("pending", *pending)
+            .field("events_in", &slice.events_in)
+            .field("events_filtered", &slice.events_filtered);
+        obj.end();
+    }
+}
+
+/// A pipeline's fields, as [`PipelineSnapshot::to_fields`] lays them out.
+fn pipeline_fields<P: Json>(obj: &mut Obj<'_>, p: &PipelineSnapshot<P>, payload: &str) {
+    obj.field("frontier", &p.frontier)
+        .field("held", &HeldList(&p.held, payload))
+        .field("finished", &p.finished)
+        .field("monitor_finished", &p.monitor_finished)
+        .field("delivered", &p.delivered)
+        .field("monitors", &p.monitors);
+}
+
+/// Held events, each payload under the pipeline's name for it.
+struct HeldList<'a, P>(&'a [HeldSnapshot<P>], &'a str);
+
+impl<P: Json> Json for HeldList<'_, P> {
+    fn json(&self, out: &mut String) {
+        let HeldList(held, payload) = self;
+        out.push('[');
+        for (i, h) in held.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let mut obj = Obj::new(out);
+            obj.field("process", &h.process)
+                .field("clock", &h.clock)
+                .field(payload, &h.payload);
+            obj.end();
+        }
+        out.push(']');
+    }
+}
+
+impl Json for SessionSnapshot {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        obj.field("name", &self.name)
+            .field("processes", &self.processes)
+            .field("vars", &self.vars)
+            .field("predicates", &Tree(&self.predicates))
+            .field("states", &self.states);
+        pipeline_fields(&mut obj, &self.pipeline, "set");
+        obj.end();
+    }
+}
+
+impl Json for WorkerSlotSnapshot {
+    fn json(&self, out: &mut String) {
+        Tree(self).json(out);
+    }
+}
+
+impl Json for AggregatorSlotSnapshot {
+    fn json(&self, out: &mut String) {
+        let s = &self.snap;
+        let mut obj = Obj::new(out);
+        obj.field("name", &self.name)
+            .field("processes", &self.processes)
+            .field("k", &s.k)
+            .field("vars", &s.vars)
+            .field("predicates", &Tree(&s.predicates));
+        pipeline_fields(&mut obj, &s.pipeline, "holds");
+        obj.field("next_seq", &s.next_seq)
+            .field("reorder", &s.reorder);
+        // Written only when present, as in `to_value`.
+        if !s.kept.is_empty() {
+            obj.field("kept", &s.kept);
+        }
+        if !s.lost.is_empty() {
+            obj.field("lost", &s.lost);
+        }
+        obj.end();
+    }
+}
+
+/// A parked update of the reorder list.
+impl Json for (u64, SliceUpdateBody) {
+    fn json(&self, out: &mut String) {
+        let mut obj = Obj::new(out);
+        obj.field("seq", &self.0).field("update", &Tree(&self.1));
+        obj.end();
+    }
+}
+
+/// The membership bits of an update refused for hold space.
+impl Json for (usize, u32, Vec<usize>) {
+    fn json(&self, out: &mut String) {
+        let (process, seq, holds) = self;
+        let mut obj = Obj::new(out);
+        obj.field("process", process)
+            .field("seq", seq)
+            .field("holds", holds);
+        obj.end();
     }
 }
 

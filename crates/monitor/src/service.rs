@@ -68,7 +68,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{BufReader, BufWriter};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -639,6 +639,13 @@ impl MonitorHandle {
     /// lost by a crash. **Route** hands it to the shard owning the
     /// session name.
     pub fn submit(&self, msg: ClientMsg, sink: &Sender<ServerMsg>) {
+        self.submit_body(msg, None, sink)
+    }
+
+    /// [`MonitorHandle::submit`] for a message that arrived as `body`,
+    /// when that body is canonical ([`wire::decode_client_body`]): the
+    /// WAL stage logs it as it came instead of encoding `msg` again.
+    fn submit_body(&self, msg: ClientMsg, body: Option<Vec<u8>>, sink: &Sender<ServerMsg>) {
         if let Some(answer) = self.gate(&msg) {
             return self.answer(sink, answer);
         }
@@ -646,10 +653,15 @@ impl MonitorHandle {
         let Some(session) = msg.session() else { return };
         let shard = &self.shards[shard_index_of(session, self.shards.len())];
         // One record per message — a batch is appended atomically.
-        // The canonical encoding of the decoded message, not the bytes
-        // the client sent: what is on disk does not depend on how a
-        // client spaces or orders its JSON.
-        let logged = self.wal.as_ref().map(|wal| (wal, wire::encode_body(&msg)));
+        // The canonical encoding of the decoded message: the client's
+        // own bytes when they are exactly that, else encoded here. What
+        // is on disk does not depend on how a client spaces or orders
+        // its JSON.
+        let logged = self.wal.as_ref().map(|wal| {
+            let payload = body.unwrap_or_else(|| wire::encode_body(&msg).into_bytes());
+            debug_assert_eq!(payload, wire::encode_body(&msg).into_bytes());
+            (wal, payload)
+        });
         let cmd = Cmd::Msg {
             msg,
             sink: sink.clone(),
@@ -659,7 +671,7 @@ impl MonitorHandle {
             return;
         };
         let mut inner = wal.lock();
-        if let Err(e) = inner.store.append(payload.as_bytes()) {
+        if let Err(e) = inner.store.append(&payload) {
             let message = format!("write-ahead log append failed: {e}");
             return self.answer(sink, error_frame(None, None, message));
         }
@@ -788,12 +800,13 @@ fn serve_connection(stream: TcpStream, handle: MonitorHandle) -> bool {
         }
     });
     let mut r = BufReader::new(stream);
+    let logged = handle.wal.is_some();
     let mut shutdown = false;
     loop {
-        match wire::read_frame::<_, ClientMsg>(&mut r) {
-            Ok(Some(msg)) => {
+        match read_client_frame(&mut r, logged) {
+            Ok(Some((msg, body))) => {
                 let is_shutdown = matches!(msg, ClientMsg::Shutdown);
-                handle.submit(msg, &sink_tx);
+                handle.submit_body(msg, body, &sink_tx);
                 if is_shutdown {
                     shutdown = true;
                     break;
@@ -809,6 +822,26 @@ fn serve_connection(stream: TcpStream, handle: MonitorHandle) -> bool {
     drop(sink_tx); // writer drains and exits
     let _ = writer.join();
     shutdown
+}
+
+/// A client message, and the body it came in when that body is
+/// canonical, for the WAL stage to log as it came.
+type ClientFrame = (ClientMsg, Option<Vec<u8>>);
+
+/// The next client frame; `Ok(None)` at a clean end of stream. Only a
+/// `logged` service asks whether a body is canonical.
+fn read_client_frame<R: BufRead>(
+    r: &mut R,
+    logged: bool,
+) -> Result<Option<ClientFrame>, TraceError> {
+    let Some(body) = wire::read_body(r)? else {
+        return Ok(None);
+    };
+    if !logged {
+        return wire::decode_body(&body).map(|msg| Some((msg, None)));
+    }
+    let (msg, canonical) = wire::decode_client_body(&body)?;
+    Ok(Some((msg, canonical.then_some(body))))
 }
 
 #[cfg(test)]

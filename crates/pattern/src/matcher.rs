@@ -238,8 +238,10 @@ impl OnlineMonitor for PredictiveMatcher {
     fn observe_atoms(&mut self, i: usize, mask: u64, clock: &VectorClock) -> OnlineVerdict {
         assert!(!self.finished[i], "process {i} already finished");
         self.seen[i] += 1;
-        if matches!(self.verdict, OnlineVerdict::Detected(_)) {
-            return self.verdict.clone(); // already answered
+        // An event that matches no atom (most of a stream) joins no
+        // candidate list and extends no chain.
+        if mask == 0 || matches!(self.verdict, OnlineVerdict::Detected(_)) {
+            return self.verdict.clone(); // nothing to do, or already answered
         }
         let c = clock.components().to_vec();
         let d = self.causal.len();

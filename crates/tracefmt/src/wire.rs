@@ -995,7 +995,7 @@ impl Deserialize for ClientMsg {
     }
 
     fn from_json_bytes(json: &[u8]) -> Option<Self> {
-        hot::decode_client(json)
+        hot::decode_client::<false>(json).map(|(msg, _)| msg)
     }
 }
 
@@ -1131,9 +1131,29 @@ pub fn encode_body<T: Serialize>(msg: &T) -> String {
 /// Returns [`TraceError::Invalid`] for a body that is not UTF-8 and
 /// [`TraceError::Json`] for malformed or misshapen JSON.
 pub fn decode_body<T: Deserialize>(body: &[u8]) -> Result<T, TraceError> {
-    if let Some(msg) = T::from_json_bytes(body) {
-        return Ok(msg);
+    match T::from_json_bytes(body) {
+        Some(msg) => Ok(msg),
+        None => value_route(body),
     }
+}
+
+/// A client frame's body decoded as [`decode_body`] decodes it, and
+/// whether the body is **canonical**: byte for byte what
+/// [`encode_body`] writes for the decoded message. The one-pass decoder
+/// tells for the per-event frames as it reads them, at no extra pass;
+/// every other body counts as not canonical. The monitor's write-ahead
+/// log stores a canonical body as it arrived and encodes the rest.
+/// (Telling costs the decoder a little; [`decode_body`] does not.)
+pub fn decode_client_body(body: &[u8]) -> Result<(ClientMsg, bool), TraceError> {
+    match hot::decode_client::<true>(body) {
+        Some(decoded) => Ok(decoded),
+        None => value_route(body).map(|msg| (msg, false)),
+    }
+}
+
+/// A body through the `Value` tree, which decides what is accepted and
+/// words every rejection.
+fn value_route<T: Deserialize>(body: &[u8]) -> Result<T, TraceError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| TraceError::Invalid("frame body is not UTF-8".into()))?;
     let value = serde_json::parse_value(text)?;
@@ -1158,6 +1178,12 @@ const BODY_PREALLOC_BYTES: usize = 64 << 10;
 /// Returns a [`TraceError::Invalid`] on malformed framing and
 /// [`TraceError::Json`] on malformed JSON inside a well-formed frame.
 pub fn read_frame<R: BufRead, T: Deserialize>(r: &mut R) -> Result<Option<T>, TraceError> {
+    read_body(r)?.map(|body| decode_body(&body)).transpose()
+}
+
+/// Reads one frame's body, undecoded: the framing half of
+/// [`read_frame`], with the same errors for malformed framing.
+pub fn read_body<R: BufRead>(r: &mut R) -> Result<Option<Vec<u8>>, TraceError> {
     let Some(len) = read_length(r)? else {
         return Ok(None);
     };
@@ -1185,7 +1211,7 @@ pub fn read_frame<R: BufRead, T: Deserialize>(r: &mut R) -> Result<Option<T>, Tr
     if nl[0] != b'\n' {
         return Err(TraceError::Invalid("frame not newline-terminated".into()));
     }
-    decode_body(&body).map(Some)
+    Ok(Some(body))
 }
 
 /// The length prefix — up to 12 ASCII digits, then one space — taken

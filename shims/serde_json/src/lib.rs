@@ -321,12 +321,32 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `n` in decimal: how the printer writes a [`Value::Int`], for
+/// encoders that write JSON text without a [`Value`].
+pub fn int_into(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(n) => out.push_str(&n.to_string()),
+        Value::Int(n) => int_into(out, *n),
         Value::Float(x) => {
             if x.is_finite() {
                 out.push_str(&x.to_string());
@@ -445,6 +465,26 @@ mod tests {
             Value::Str("A😀".to_string())
         );
         assert!(parse_value(r#""\ud800""#).is_err());
+    }
+
+    #[test]
+    fn integers_print_as_display_does() {
+        for n in [
+            0,
+            7,
+            -7,
+            10,
+            -10,
+            99,
+            1 << 40,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            let mut out = String::new();
+            int_into(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
     }
 
     #[test]
