@@ -39,11 +39,11 @@
 //! partitions best, so it pairs naturally with `--distribute`.
 //!
 //! `--distribute K` opens every session with the SDK's distributed
-//! role: a wire-v5 *gateway* fans the event stream out over `K` worker
+//! role: a *gateway* fans the event stream out over `K` worker
 //! backends (partitioned by process id) and aggregates their slice
 //! observations into the same verdicts a single backend would emit. A
-//! plain monitor, or any pre-v5 peer, refuses the open — loadgen fails
-//! fast with the SDK's handshake error. Pattern predicates cannot be
+//! plain monitor refuses the open — loadgen fails fast with the SDK's
+//! typed error. Pattern predicates cannot be
 //! distributed, so `--distribute` rejects `--scenario
 //! ordering-violation`.
 //!
@@ -62,7 +62,7 @@
 //!
 //! `--batch B` sets the SDK's flush-batch cap. The default of 1 keeps
 //! every event in its own `event` frame; `--batch 64` lets the flusher
-//! coalesce up to 64 events into one wire-v3 `events` frame, which is
+//! coalesce up to 64 events into one `events` frame, which is
 //! the knob the batched-vs-unbatched CI comparison turns.
 //!
 //! `--compare` needs no running servers: it benchmarks a self-hosted

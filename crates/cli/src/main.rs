@@ -55,7 +55,7 @@
 //!                                    processes (ground-truth-checked);
 //!                                    --distribute K opens each session
 //!                                    distributed over K worker backends
-//!                                    (needs a wire-v5 gateway)
+//!                                    (needs a gateway)
 //! hbtl store inspect <dir>           read-only look at a data dir (--json)
 //! hbtl store verify <dir>            CRC-check every WAL record
 //!                                    (--repair truncates a damaged tail)
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  hbtl check <trace> \"<formula>\"\n  hbtl info <trace>\n  hbtl dot <trace>\n  hbtl lattice <trace> [limit]\n  hbtl convert <in> <out>\n  hbtl simulate <mutex|leader|termination|pipeline> <out.json>\n  hbtl monitor serve <addr> [--shards N] [--capacity N] [--stats-every SECS]\n                    [--data-dir DIR] [--sync always|os|interval:<ms>] [--snapshot-every N] [--wire-version V]\n  hbtl monitor send <addr> <trace> --session NAME (--conj|--disj \"p:var=v,...\" | --pattern \"a=1 -> b=2\")...\n                    [--seed S] [--window W] [--retry N]\n  hbtl monitor stats <addr> [--json | --prometheus] [--retry N]\n  hbtl monitor shutdown <addr> [--retry N]\n  hbtl slice inspect <trace> --conj \"p:var=v,...\" [--json]\n  hbtl gateway serve <addr> --backend <addr> [--backend <addr>]... [--pool N] [--journal-limit N] [--stats-every SECS]\n  hbtl gateway drain <addr> <backend> [--retry N]\n  hbtl gateway stats <addr> [--json | --prometheus] [--retry N]\n  hbtl loadgen <addr> [--workers M] [--sessions N] [--processes P] [--events E] [--predicates K] [--batch B]\n                    [--distribute K] [--scenario ordering-violation|sparse-predicate|wide-session]\n                    [--violation-rate PCT] [--json]\n  hbtl loadgen --compare [--workers M] [--sessions N] ... [--json]\n  hbtl store inspect <dir> [--json]\n  hbtl store verify <dir> [--repair] [--json]\n  hbtl store compact <dir>"
+    "usage:\n  hbtl check <trace> \"<formula>\"\n  hbtl info <trace>\n  hbtl dot <trace>\n  hbtl lattice <trace> [limit]\n  hbtl convert <in> <out>\n  hbtl simulate <mutex|leader|termination|pipeline> <out.json>\n  hbtl monitor serve <addr> [--shards N] [--capacity N] [--stats-every SECS]\n                    [--data-dir DIR] [--sync always|os|interval:<ms>] [--snapshot-every N] [--no-slice]\n  hbtl monitor send <addr> <trace> --session NAME (--conj|--disj \"p:var=v,...\" | --pattern \"a=1 -> b=2\")...\n                    [--seed S] [--window W] [--retry N]\n  hbtl monitor stats <addr> [--json | --prometheus] [--retry N]\n  hbtl monitor shutdown <addr> [--retry N]\n  hbtl slice inspect <trace> --conj \"p:var=v,...\" [--json]\n  hbtl gateway serve <addr> --backend <addr> [--backend <addr>]... [--pool N] [--journal-limit N] [--stats-every SECS]\n  hbtl gateway drain <addr> <backend> [--retry N]\n  hbtl gateway stats <addr> [--json | --prometheus] [--retry N]\n  hbtl loadgen <addr> [--workers M] [--sessions N] [--processes P] [--events E] [--predicates K] [--batch B]\n                    [--distribute K] [--scenario ordering-violation|sparse-predicate|wide-session]\n                    [--violation-rate PCT] [--json]\n  hbtl loadgen --compare [--workers M] [--sessions N] ... [--json]\n  hbtl store inspect <dir> [--json]\n  hbtl store verify <dir> [--repair] [--json]\n  hbtl store compact <dir>"
 }
 
 /// Dispatches a command line; returns the text to print.

@@ -3,7 +3,7 @@
 //! ```text
 //! hbtl monitor serve <addr> [--shards N] [--capacity N] [--stats-every SECS]
 //!                   [--data-dir DIR] [--sync always|os|interval:<ms>]
-//!                   [--snapshot-every N] [--wire-version V] [--no-slice]
+//!                   [--snapshot-every N] [--no-slice]
 //! hbtl monitor send <addr> <trace> --session NAME
 //!                   (--conj SPEC | --disj SPEC | --pattern SPEC)...
 //!                   [--seed S] [--window W] [--retry N]
@@ -200,15 +200,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         return Err("--sync and --snapshot-every need --data-dir".into());
     }
     let no_slice = take_switch(&mut rest, "--no-slice");
-    // Compatibility-testing knob: serve as if this were an older build
-    // (caps the handshake and refuses frames that version lacked).
-    let wire_version = take_flag(&mut rest, "--wire-version")?
-        .map(|s| {
-            s.parse::<u32>()
-                .map_err(|_| "bad --wire-version".to_string())
-        })
-        .transpose()?
-        .unwrap_or(wire::WIRE_VERSION);
     let persist = data_dir.map(|dir| {
         let mut p = PersistConfig::new(dir.into());
         if let Some(sync) = sync {
@@ -240,7 +231,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         },
         stats_interval: stats_every.map(Duration::from_secs),
         persist,
-        wire_version,
     })
     .map_err(|e| match e {
         StoreError::Locked { path, pid } => format!(

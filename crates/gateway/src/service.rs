@@ -85,11 +85,6 @@ pub struct GatewayConfig {
     pub dial_retry: RetryPolicy,
     /// Period of the stats log line on stderr; `None` disables it.
     pub stats_interval: Option<Duration>,
-    /// The highest protocol version this gateway speaks to its clients
-    /// — normally [`wire::WIRE_VERSION`]. Lowering it emulates an older
-    /// gateway (refusing newer `hello`s and, below 3, the batched
-    /// `events` frame) for compatibility tests.
-    pub wire_version: u32,
 }
 
 impl Default for GatewayConfig {
@@ -107,7 +102,6 @@ impl Default for GatewayConfig {
                 cap: Duration::from_millis(200),
             },
             stats_interval: None,
-            wire_version: wire::WIRE_VERSION,
         }
     }
 }
@@ -130,9 +124,6 @@ struct Conn {
     tx: Sender<ClientMsg>,
     stream: TcpStream,
     generation: u64,
-    /// The version the backend answered the `Hello` handshake with —
-    /// distributed sessions require every involved backend ≥ 5.
-    peer_version: u32,
 }
 
 /// One backend and its connection pool.
@@ -334,17 +325,12 @@ fn rank_backends(inner: &Inner, session: &str) -> Vec<usize> {
     ranked.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Returns a sender for backend `b`'s pool slot (plus the backend's
-/// handshake version), dialing on demand.
-fn ensure_conn(
-    inner: &Arc<Inner>,
-    b: usize,
-    slot: usize,
-) -> Result<(Sender<ClientMsg>, u32), String> {
+/// Returns a sender for backend `b`'s pool slot, dialing on demand.
+fn ensure_conn(inner: &Arc<Inner>, b: usize, slot: usize) -> Result<Sender<ClientMsg>, String> {
     let backend = &inner.backends[b];
     let mut guard = backend.slots[slot].lock();
     if let Some(conn) = guard.as_ref() {
-        return Ok((conn.tx.clone(), conn.peer_version));
+        return Ok(conn.tx.clone());
     }
     inner.metrics.backend_dials.fetch_add(1, Relaxed);
     let dialed = match dial::dial(&backend.addr, &inner.config.dial_retry) {
@@ -358,24 +344,11 @@ fn ensure_conn(
     let (tx, rx) = bounded::<ClientMsg>(inner.config.pipeline_depth);
     {
         let mut writer = dialed.writer;
-        // Batches normally relay unsplit, but a backend that welcomed a
-        // pre-3 version has no `events` decoder — downgrade at the last
-        // moment, on this connection only, so a mixed-version fleet
-        // still fails over freely.
-        let peer_version = dialed.peer_version;
         std::thread::Builder::new()
             .name(format!("hb-gateway-b{b}s{slot}-w"))
             .spawn(move || {
                 for msg in rx.iter() {
-                    let ok = match msg {
-                        ClientMsg::Events { session, events } if peer_version < 3 => {
-                            events.into_iter().all(|e| {
-                                wire::write_frame(&mut writer, &e.into_event(&session)).is_ok()
-                            })
-                        }
-                        msg => wire::write_frame(&mut writer, &msg).is_ok(),
-                    };
-                    if !ok {
+                    if wire::write_frame(&mut writer, &msg).is_err() {
                         return;
                     }
                 }
@@ -395,14 +368,12 @@ fn ensure_conn(
             })
             .expect("spawn pool reader");
     }
-    let peer_version = dialed.peer_version;
     *guard = Some(Conn {
         tx: tx.clone(),
         stream: dialed.stream,
         generation,
-        peer_version,
     });
-    Ok((tx, peer_version))
+    Ok(tx)
 }
 
 /// Clears a pool slot and shuts its socket down (idempotent).
@@ -427,7 +398,7 @@ fn send_to_backend(
     slot: usize,
     frame: ClientMsg,
 ) -> Result<(), String> {
-    let (tx, _) = ensure_conn(inner, b, slot)?;
+    let tx = ensure_conn(inner, b, slot)?;
     match tx.try_send(frame) {
         Ok(()) => Ok(()),
         Err(TrySendError::Full(frame)) => {
@@ -693,7 +664,7 @@ fn re_derive_partition(e: &SessionEntry, w: usize) -> Vec<ClientMsg> {
         .collect()
 }
 
-/// Re-places one worker partition on a healthy v5 backend and replays
+/// Re-places one worker partition on a healthy backend and replays
 /// its re-derived stream. Caller holds the entry lock.
 fn reroute_partition(inner: &Arc<Inner>, e: &mut SessionEntry, w: usize) {
     if e.closed_sent {
@@ -712,57 +683,47 @@ fn reroute_partition(inner: &Arc<Inner>, e: &mut SessionEntry, w: usize) {
         );
         return;
     }
-    let dname = worker_session(&e.name, w);
+    let (dname, frames) = (worker_session(&e.name, w), re_derive_partition(e, w));
+    let what = format!("worker partition {w} of session '{}'", e.name);
+    replay_elsewhere(inner, e, &dname, frames, &what, |e, placed| {
+        e.dist.as_mut().expect("caller checked dist").workers[w] = placed;
+        inner.metrics.partitions_failed_over.fetch_add(1, Relaxed);
+    });
+}
+
+/// The failover loop both reroutes share: places the replay target
+/// `name` (a session, or a worker partition's decorated name) on the
+/// best healthy backend by rendezvous and sends it `frames` in order. A
+/// backend that fails mid-replay is reported down and the next one
+/// tried; on success `placed` records the new `(backend, slot)`. When
+/// no backend takes the replay, the session is dropped naming `what`.
+/// Caller holds the entry lock.
+fn replay_elsewhere(
+    inner: &Arc<Inner>,
+    e: &mut SessionEntry,
+    name: &str,
+    frames: Vec<ClientMsg>,
+    what: &str,
+    placed: impl FnOnce(&mut SessionEntry, (usize, usize)),
+) {
     for _ in 0..inner.backends.len() {
-        let Some(nb) = pick_backend(inner, &dname) else {
+        let Some(b) = pick_backend(inner, name) else {
             break;
         };
-        let slot = slot_of(&dname, inner.config.pool_size);
-        match ensure_conn(inner, nb, slot) {
-            Ok((_, v)) if v < 5 => {
-                drop_session(
-                    inner,
-                    e,
-                    format!(
-                        "backend {} speaks wire v{v}; worker partition {w} of \
-                         session '{}' needs a v5 backend to fail over to",
-                        inner.backends[nb].addr, e.name
-                    ),
-                );
-                return;
-            }
-            Ok(_) => {}
-            Err(_) => {
-                report_backend_down(inner, nb);
-                continue;
-            }
-        }
-        let frames = re_derive_partition(e, w);
-        let count = frames.len() as u64;
-        let mut replayed_all = true;
-        for frame in frames {
-            if send_to_backend(inner, nb, slot, frame).is_err() {
-                replayed_all = false;
-                break;
-            }
-        }
-        if replayed_all {
-            e.dist.as_mut().expect("caller checked dist").workers[w] = (nb, slot);
-            inner.metrics.partitions_failed_over.fetch_add(1, Relaxed);
+        let slot = slot_of(name, inner.config.pool_size);
+        if frames
+            .iter()
+            .all(|frame| send_to_backend(inner, b, slot, frame.clone()).is_ok())
+        {
+            let count = frames.len() as u64;
             inner.metrics.frames_replayed.fetch_add(count, Relaxed);
+            placed(e, (b, slot));
             return;
         }
-        report_backend_down(inner, nb);
+        report_backend_down(inner, b);
     }
-    drop_session(
-        inner,
-        e,
-        format!(
-            "no healthy backend available to fail worker partition {w} of \
-             session '{}' over to",
-            e.name
-        ),
-    );
+    let message = format!("no healthy backend available to fail {what} over to");
+    drop_session(inner, e, message);
 }
 
 /// Removes a session with a client-visible explanation and a synthetic
@@ -849,36 +810,12 @@ fn reroute_session(inner: &Arc<Inner>, e: &mut SessionEntry) {
         );
         return;
     }
-    for _ in 0..inner.backends.len() {
-        let Some(nb) = pick_backend(inner, &e.name) else {
-            break;
-        };
-        e.backend = nb;
-        e.slot = slot_of(&e.name, inner.config.pool_size);
-        let frames = e.journal.frames().to_vec();
-        let count = frames.len() as u64;
-        let mut replayed_all = true;
-        for frame in frames {
-            if send_to_backend(inner, nb, e.slot, frame).is_err() {
-                replayed_all = false;
-                break;
-            }
-        }
-        if replayed_all {
-            inner.metrics.sessions_failed_over.fetch_add(1, Relaxed);
-            inner.metrics.frames_replayed.fetch_add(count, Relaxed);
-            return;
-        }
-        report_backend_down(inner, nb);
-    }
-    drop_session(
-        inner,
-        e,
-        format!(
-            "no healthy backend available to fail session '{}' over to",
-            e.name
-        ),
-    );
+    let (name, frames) = (e.name.clone(), e.journal.frames().to_vec());
+    let what = format!("session '{name}'");
+    replay_elsewhere(inner, e, &name, frames, &what, |e, placed| {
+        (e.backend, e.slot) = placed;
+        inner.metrics.sessions_failed_over.fetch_add(1, Relaxed);
+    });
 }
 
 // ---- backend → client dispatch --------------------------------------------
@@ -1307,9 +1244,8 @@ fn register_session(
 
 /// Opens one distributed session: places the aggregator and the K
 /// worker partitions over the healthy backends by rendezvous rank,
-/// verifies every involved backend speaks wire v5 (a pre-v5 monitor
-/// would silently drop the `dist` key and mis-open a plain session),
-/// and fans the client's open out like any other frame of the session.
+/// dials every involved backend, and fans the client's open out like
+/// any other frame of the session.
 fn open_distributed(inner: &Arc<Inner>, sink: &Sender<ServerMsg>, msg: ClientMsg, k: usize) {
     let ClientMsg::Open { session: name, .. } = &msg else {
         unreachable!("caller matched an open");
@@ -1346,39 +1282,22 @@ fn open_distributed(inner: &Arc<Inner>, sink: &Sender<ServerMsg>, msg: ClientMsg
             )
         })
         .collect();
-    // Fail fast on any pre-v5 backend, before any state is created.
+    // Fail fast on an unreachable backend, before any state is created.
     for &(b, slot) in std::iter::once(&agg_placement).chain(workers.iter()) {
-        match ensure_conn(inner, b, slot) {
-            Ok((_, v)) if v < 5 => {
-                client_error(
-                    inner,
-                    sink,
-                    Some(name.clone()),
-                    Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION),
-                    format!(
-                        "backend {} speaks wire v{v}; distributed sessions \
-                         need every involved backend at v5",
-                        inner.backends[b].addr
-                    ),
-                );
-                return;
-            }
-            Ok(_) => {}
-            Err(e) => {
-                report_backend_down(inner, b);
-                client_error(
-                    inner,
-                    sink,
-                    Some(name.clone()),
-                    None,
-                    format!(
-                        "could not reach backend {} to open the distributed \
-                         session: {e}",
-                        inner.backends[b].addr
-                    ),
-                );
-                return;
-            }
+        if let Err(e) = ensure_conn(inner, b, slot) {
+            report_backend_down(inner, b);
+            client_error(
+                inner,
+                sink,
+                Some(name.clone()),
+                None,
+                format!(
+                    "could not reach backend {} to open the distributed \
+                     session: {e}",
+                    inner.backends[b].addr
+                ),
+            );
+            return;
         }
     }
     let entry = Arc::new(Mutex::new(SessionEntry {
@@ -1408,20 +1327,15 @@ fn open_distributed(inner: &Arc<Inner>, sink: &Sender<ServerMsg>, msg: ClientMsg
 /// The gateway's frame handler — the routing counterpart of
 /// `MonitorHandle::submit`.
 fn handle_client_msg(inner: &Arc<Inner>, msg: ClientMsg, sink: &Sender<ServerMsg>) {
-    if let Some(refusal) = wire::refusal(inner.config.wire_version, "gateway", &msg) {
-        inner.metrics.protocol_errors.fetch_add(1, Relaxed);
-        let _ = sink.send(refusal);
-        return;
-    }
     match msg {
-        ClientMsg::Hello { version } => {
-            match wire::negotiate_version(version, inner.config.wire_version) {
-                Ok(version) => {
-                    let _ = sink.send(ServerMsg::Welcome { version });
-                }
-                Err(message) => client_error(inner, sink, None, None, message),
+        ClientMsg::Hello { version } => match wire::check_version(version) {
+            Ok(()) => {
+                let _ = sink.send(ServerMsg::Welcome {
+                    version: wire::WIRE_VERSION,
+                });
             }
-        }
+            Err(message) => client_error(inner, sink, None, None, message),
+        },
         ClientMsg::Stats => {
             let _ = sink.send(ServerMsg::Stats {
                 counters: aggregate_stats(inner),

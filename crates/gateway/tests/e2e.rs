@@ -425,38 +425,33 @@ fn backend_death_mid_session_fails_over_without_duplicate_or_lost_verdicts() {
 #[test]
 fn hello_handshake_accepts_supported_and_rejects_future_versions() {
     let (addr_a, _svc_a) = start_monitor();
-    let (gw_addr, _gw) = start_gateway(vec![addr_a]);
+    let (gw_addr, gw) = start_gateway(vec![addr_a]);
 
     let mut client = Client::connect(&gw_addr);
-    // Negotiation echoes the client's version (capped at the server's
-    // own), so an old client is welcomed at the version it can speak.
-    client.send(&ClientMsg::Hello {
-        version: wire::MIN_WIRE_VERSION,
-    });
-    match client.recv() {
-        ServerMsg::Welcome { version } => assert_eq!(version, wire::MIN_WIRE_VERSION),
-        other => panic!("expected welcome, got {other:?}"),
-    }
     client.send(&ClientMsg::Hello {
         version: wire::WIRE_VERSION,
     });
     match client.recv() {
-        ServerMsg::Welcome { version } => assert_eq!(version, wire::WIRE_VERSION),
+        ServerMsg::Welcome { version } => assert_eq!(version, 5),
         other => panic!("expected welcome, got {other:?}"),
     }
-    client.send(&ClientMsg::Hello { version: 99 });
-    match client.recv() {
-        ServerMsg::Error {
-            session, message, ..
-        } => {
-            assert_eq!(session, None);
-            assert!(
-                message.contains("unsupported protocol version 99"),
-                "{message}"
-            );
+    // The gateway speaks one version; any other is refused and counted.
+    for version in [4, 6] {
+        client.send(&ClientMsg::Hello { version });
+        match client.recv() {
+            ServerMsg::Error {
+                session, message, ..
+            } => {
+                assert_eq!(session, None);
+                assert_eq!(
+                    message,
+                    format!("unsupported protocol version {version} (this peer speaks 5)")
+                );
+            }
+            other => panic!("expected error, got {other:?}"),
         }
-        other => panic!("expected error, got {other:?}"),
     }
+    assert_eq!(gw.metrics().protocol_errors, 2);
 }
 
 #[test]

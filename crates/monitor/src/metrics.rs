@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 pub struct Metrics {
     /// Events accepted off a transport (before causal buffering).
     pub events_ingested: AtomicU64,
-    /// Batched `events` frames accepted (wire v3); their members are
+    /// Batched `events` frames accepted; their members are
     /// also counted individually in `events_ingested`.
     pub batches_ingested: AtomicU64,
     /// Events released by causal buffers to detectors.

@@ -14,7 +14,7 @@
 //!
 //! Every client message takes one path. [`MonitorHandle::submit`] is
 //! three stages: the **gate** answers what needs no session (`stats`,
-//! `hello`, frames the emulated wire version lacks), the **WAL** stage
+//! `hello`, a client's `distribute` open), the **WAL** stage
 //! logs the message, and **route** hands it to the shard that owns the
 //! session name. The shard — one thread, one map of `Member`s —
 //! looks the member up, **applies** the message, **commits** what that
@@ -87,12 +87,6 @@ pub struct MonitorConfig {
     /// Write-ahead logging and crash recovery; `None` keeps the service
     /// purely in-memory.
     pub persist: Option<PersistConfig>,
-    /// The highest protocol version this service speaks — normally
-    /// [`wire::WIRE_VERSION`]. Lowering it makes the service behave
-    /// like an older build (refusing newer `hello`s and whatever
-    /// [`wire::refusal`] says that version lacked); compatibility tests
-    /// use this to pit a current SDK against yesterday's server.
-    pub wire_version: u32,
 }
 
 impl Default for MonitorConfig {
@@ -102,7 +96,6 @@ impl Default for MonitorConfig {
             limits: SessionLimits::default(),
             stats_interval: None,
             persist: None,
-            wire_version: wire::WIRE_VERSION,
         }
     }
 }
@@ -145,7 +138,6 @@ pub struct MonitorService {
     wal: Option<SharedWal>,
     stats_stop: Option<Sender<()>>,
     stats_thread: Option<JoinHandle<()>>,
-    wire_version: u32,
 }
 
 /// A cheap, cloneable client of a running service.
@@ -154,7 +146,6 @@ pub struct MonitorHandle {
     shards: Vec<Sender<Cmd>>,
     metrics: Arc<Metrics>,
     wal: Option<SharedWal>,
-    wire_version: u32,
 }
 
 fn shard_index_of(session: &str, shards: usize) -> usize {
@@ -568,9 +559,6 @@ impl MonitorService {
             wal,
             stats_stop,
             stats_thread,
-            wire_version: config
-                .wire_version
-                .clamp(wire::MIN_WIRE_VERSION, wire::WIRE_VERSION),
         })
     }
 
@@ -580,7 +568,6 @@ impl MonitorService {
             shards: self.shards.clone(),
             metrics: Arc::clone(&self.metrics),
             wal: self.wal.clone(),
-            wire_version: self.wire_version,
         }
     }
 
@@ -630,8 +617,8 @@ impl MonitorHandle {
     /// `Stats` synchronously from the shared metrics (no shard
     /// round-trip); `Shutdown` with `Bye` — a transport-level concern,
     /// shutting the service down is the owner's call via
-    /// [`MonitorService::shutdown`]; and whatever the emulated wire
-    /// version or a backend's role refuses. With persistence, the
+    /// [`MonitorService::shutdown`]; the `hello` handshake; and what a
+    /// backend's role refuses. With persistence, the
     /// **WAL** stage appends the message **before** it is routed — by
     /// the time any effect of the message is observable, its record is
     /// in the log — and an append failure refuses the message with
@@ -699,9 +686,6 @@ impl MonitorHandle {
     /// The gate: the answer to a message that is settled without a
     /// session, or `None` for one that goes on to the WAL and a shard.
     fn gate(&self, msg: &ClientMsg) -> Option<ServerMsg> {
-        if let Some(refusal) = wire::refusal(self.wire_version, "monitor", msg) {
-            return Some(refusal);
-        }
         Some(match msg {
             ClientMsg::Stats => ServerMsg::Stats {
                 counters: self.metrics.snapshot().to_map(),
@@ -709,12 +693,12 @@ impl MonitorHandle {
             ClientMsg::Shutdown => ServerMsg::Bye,
             // Version handshake: also the gateway's health probe, so it
             // must stay cheap and side-effect free.
-            ClientMsg::Hello { version } => {
-                match wire::negotiate_version(*version, self.wire_version) {
-                    Ok(version) => ServerMsg::Welcome { version },
-                    Err(message) => error_frame(None, None, message),
-                }
-            }
+            ClientMsg::Hello { version } => match wire::check_version(*version) {
+                Ok(()) => ServerMsg::Welcome {
+                    version: wire::WIRE_VERSION,
+                },
+                Err(message) => error_frame(None, None, message),
+            },
             ClientMsg::Drain { backend } => error_frame(
                 None,
                 None,
@@ -961,36 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_monitors_refuse_pattern_opens_with_a_typed_error() {
-        let service = MonitorService::start(MonitorConfig {
-            wire_version: 2,
-            ..MonitorConfig::default()
-        });
-        let handle = service.handle();
-        let (tx, rx) = unbounded();
-        handle.submit(pattern_open("s"), &tx);
-        match rx.recv().unwrap() {
-            ServerMsg::Error {
-                session,
-                kind,
-                message,
-            } => {
-                assert_eq!(session.as_deref(), Some("s"));
-                assert_eq!(
-                    kind.as_deref(),
-                    Some(wire::error_kind::UNSUPPORTED_PREDICATE)
-                );
-                assert!(message.contains("wire v4"));
-            }
-            other => panic!("expected a typed error, got {other:?}"),
-        }
-        // Clause predicates still open fine on the same connection.
-        handle.submit(fig2_open("s2"), &tx);
-        assert!(matches!(rx.recv().unwrap(), ServerMsg::Opened { .. }));
-        service.shutdown();
-    }
-
-    #[test]
     fn in_process_session_detects_and_flushes() {
         let service = MonitorService::start(MonitorConfig::default());
         let handle = service.handle();
@@ -1169,36 +1123,22 @@ mod tests {
         let service = MonitorService::start(MonitorConfig::default());
         let handle = service.handle();
         let (tx, rx) = unbounded();
-        handle.submit(
-            ClientMsg::Hello {
-                version: wire::WIRE_VERSION,
-            },
-            &tx,
-        );
-        assert_eq!(
-            rx.recv().unwrap(),
-            ServerMsg::Welcome {
-                version: wire::WIRE_VERSION
-            }
-        );
-        // A future version is refused with the canonical message…
-        handle.submit(
-            ClientMsg::Hello {
-                version: wire::WIRE_VERSION + 1,
-            },
-            &tx,
-        );
-        match rx.recv().unwrap() {
-            ServerMsg::Error { message, .. } => {
-                assert!(
-                    message.contains("unsupported protocol version"),
-                    "{message}"
-                );
-            }
-            other => panic!("{other:?}"),
+        let hello = |version| ClientMsg::Hello { version };
+        handle.submit(hello(5), &tx);
+        assert_eq!(rx.recv().unwrap(), ServerMsg::Welcome { version: 5 });
+        // Any other version is refused with the canonical message.
+        for version in [4, 6] {
+            handle.submit(hello(version), &tx);
+            assert_eq!(
+                rx.recv().unwrap(),
+                ServerMsg::Error {
+                    session: None,
+                    kind: None,
+                    message: format!("unsupported protocol version {version} (this peer speaks 5)"),
+                }
+            );
         }
-        // …and a version-1 peer that never says hello still works: the
-        // handshake is optional (see in_process_session_detects_and_flushes).
+        // A monitor is not a gateway: it has no backends to drain.
         handle.submit(
             ClientMsg::Drain {
                 backend: "127.0.0.1:1".into(),
@@ -1206,7 +1146,7 @@ mod tests {
             &tx,
         );
         assert!(matches!(rx.recv().unwrap(), ServerMsg::Error { .. }));
-        service.shutdown();
+        assert_eq!(service.shutdown().protocol_errors, 3);
     }
 
     #[test]
@@ -1675,74 +1615,6 @@ mod tests {
         // Opened frame consumed before the crash.
         assert_eq!(frames, expected[1..], "recovery must not change the stream");
         assert!(service.metrics().sessions_reattached >= 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn pre_v5_monitors_refuse_distributed_frames() {
-        let service = MonitorService::start(MonitorConfig {
-            wire_version: 4,
-            ..MonitorConfig::default()
-        });
-        let handle = service.handle();
-        let (tx, rx) = unbounded();
-        handle.submit(
-            fig2_dist_open(
-                "s#w0",
-                WireDistRole::Worker {
-                    origin: "s".into(),
-                    worker: 0,
-                    k: 2,
-                },
-            ),
-            &tx,
-        );
-        match rx.recv().unwrap() {
-            ServerMsg::Error { kind, message, .. } => {
-                assert_eq!(
-                    kind.as_deref(),
-                    Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION)
-                );
-                assert!(message.contains("wire v5"), "{message}");
-            }
-            other => panic!("expected a typed error, got {other:?}"),
-        }
-        handle.submit(
-            ClientMsg::DistEvent {
-                session: "s#w0".into(),
-                seq: 0,
-                event: wire::EventFrame {
-                    p: 0,
-                    clock: vec![1, 0],
-                    set: BTreeMap::new(),
-                },
-            },
-            &tx,
-        );
-        match rx.recv().unwrap() {
-            ServerMsg::Error { kind, message, .. } => {
-                assert_eq!(kind, None);
-                assert_eq!(message, "unknown client message 'dist-event'");
-            }
-            other => panic!("expected an error, got {other:?}"),
-        }
-        handle.submit(
-            ClientMsg::SliceUpdate {
-                session: "s".into(),
-                seq: 0,
-                update: SliceUpdateBody::Close,
-            },
-            &tx,
-        );
-        match rx.recv().unwrap() {
-            ServerMsg::Error { message, .. } => {
-                assert_eq!(message, "unknown client message 'slice-update'");
-            }
-            other => panic!("expected an error, got {other:?}"),
-        }
-        // Plain sessions are untouched by the emulation.
-        handle.submit(fig2_open("plain"), &tx);
-        assert!(matches!(rx.recv().unwrap(), ServerMsg::Opened { .. }));
         service.shutdown();
     }
 

@@ -26,14 +26,12 @@
 //!
 //! ## Wire batching
 //!
-//! Against a peer that negotiated wire version 3, a multi-event flush
-//! goes out as batched `events` frames, chunked under `batch_max`
-//! events and roughly `batch_bytes` bytes each. The unacked log still
-//! records members one event at a time: barrier deltas count events
-//! regardless of how frames grouped them, and a reconnect replay
-//! regroups the tail for whatever peer the re-dial landed on — which
-//! after a failover may be an older build that takes only single
-//! `event` frames.
+//! With `batch_max` ≥ 2, a multi-event flush goes out as batched
+//! `events` frames, chunked under `batch_max` events and roughly
+//! `batch_bytes` bytes each. The unacked log still records members one
+//! event at a time: barrier deltas count events regardless of how
+//! frames grouped them, and a reconnect replay regroups the tail into
+//! fresh chunks.
 
 use crate::metrics::SdkMetrics;
 use crate::queue::{EventRec, Item};
@@ -53,13 +51,6 @@ pub(crate) enum Ctrl {
         reply: crossbeam::channel::Sender<Result<CloseReport, String>>,
     },
 }
-
-/// Server error substrings that are expected artifacts of re-attach
-/// and at-least-once replay, not failures. Fallback classification
-/// only: servers speaking current wire v2 tag these errors with a
-/// machine-readable [`error_kind`], and the substrings are consulted
-/// solely for older peers whose errors carry no kind.
-const BENIGN_ERRORS: &[&str] = &["already open", "duplicate event", "already finished"];
 
 /// How long the close-path drain keeps waiting once the channel reads
 /// empty but the `queued` gauge says a producer's send is still in
@@ -171,15 +162,13 @@ impl Flusher {
         self.dispatch(batch);
     }
 
-    /// Whether this connection's peer accepts batched `events` frames.
-    /// Consulted per flush rather than cached: a reconnect may have
-    /// landed on a peer speaking a different version.
+    /// Whether multi-event flushes go out as batched `events` frames.
     fn batching(&self) -> bool {
-        self.cfg.batch_max >= 2 && self.transport.peer_version() >= 3
+        self.cfg.batch_max >= 2
     }
 
-    /// Sends one flush batch — grouped into `events` frames against a
-    /// batching peer, one `event` frame each otherwise.
+    /// Sends one flush batch — grouped into `events` frames when
+    /// batching, one `event` frame each otherwise.
     fn dispatch(&mut self, batch: Vec<EventRec>) {
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         if self.batching() && batch.len() > 1 {
@@ -353,7 +342,7 @@ impl Flusher {
         self.transport.send(&self.open_msg)?;
         // The frames that originally carried the tail are gone; the log
         // stores events, not frames, precisely so the replay is free to
-        // regroup them for whatever peer this connection reached.
+        // regroup them.
         for msg in self.rechunk_unacked() {
             self.transport.send(&msg)?;
             if let ClientMsg::Events { ref events, .. } = msg {
@@ -370,10 +359,9 @@ impl Flusher {
         Ok(())
     }
 
-    /// The unacked tail regrouped for the current peer: consecutive
-    /// event frames coalesce into `events` chunks under the count and
-    /// byte caps when the peer batches, and pass through one-for-one
-    /// when it does not.
+    /// The unacked tail regrouped for the replay: consecutive event
+    /// frames coalesce into `events` chunks under the count and byte
+    /// caps when batching, and pass through one-for-one when not.
     fn rechunk_unacked(&self) -> Vec<ClientMsg> {
         if !self.batching() || self.unacked.len() < 2 {
             return self.unacked.iter().cloned().collect();
@@ -462,13 +450,7 @@ impl Flusher {
                     }
                 }
                 ServerMsg::Error { kind, message, .. } => {
-                    let benign = match kind.as_deref() {
-                        Some(k) => error_kind::is_benign_replay(k),
-                        // Older peers tag nothing; match their known
-                        // message texts as a fallback.
-                        None => BENIGN_ERRORS.iter().any(|b| message.contains(b)),
-                    };
-                    if benign {
+                    if kind.as_deref().is_some_and(error_kind::is_benign_replay) {
                         continue;
                     }
                     self.metrics.server_errors.fetch_add(1, Ordering::Relaxed);
@@ -601,7 +583,6 @@ mod tests {
     struct ScriptedTransport {
         sent: Arc<Mutex<Vec<ClientMsg>>>,
         replies: Arc<Mutex<VecDeque<ServerMsg>>>,
-        peer_version: u32,
     }
 
     impl Transport for ScriptedTransport {
@@ -614,9 +595,6 @@ mod tests {
         }
         fn reconnect(&mut self) -> Result<(), String> {
             Ok(())
-        }
-        fn peer_version(&self) -> u32 {
-            self.peer_version
         }
         fn describe(&self) -> String {
             "scripted".into()
@@ -633,7 +611,6 @@ mod tests {
     /// channel for tests that exercise `collect_and_send`.
     fn test_flusher_with(
         cfg: SessionConfig,
-        peer_version: u32,
         queue_cap: usize,
     ) -> (Flusher, Script, crossbeam::channel::Sender<Item>) {
         let sent = Arc::new(Mutex::new(Vec::new()));
@@ -641,7 +618,6 @@ mod tests {
         let transport = ScriptedTransport {
             sent: Arc::clone(&sent),
             replies: Arc::clone(&replies),
-            peer_version,
         };
         let (tx, events) = crossbeam::channel::bounded::<Item>(queue_cap);
         let (_ctx, ctrl) = crossbeam::channel::unbounded::<Ctrl>();
@@ -680,7 +656,7 @@ mod tests {
         };
         // The sender is dropped: these tests drive the flusher's
         // methods directly and never enter `run`/`do_close`.
-        let (flusher, script, _tx) = test_flusher_with(cfg, 3, 1);
+        let (flusher, script, _tx) = test_flusher_with(cfg, 1);
         (flusher, script)
     }
 
@@ -792,7 +768,7 @@ mod tests {
             batch_max: 4,
             ..SessionConfig::default()
         };
-        let (mut f, script, _tx) = test_flusher_with(cfg, 3, 1);
+        let (mut f, script, _tx) = test_flusher_with(cfg, 1);
         // Six events arrive in one flush: chunks of 4 and 2. The first
         // chunk trips the barrier; the second leaves since_ack at 2.
         push_batch(&mut f, 0..6);
@@ -832,7 +808,7 @@ mod tests {
             batch_max: 2,
             ..SessionConfig::default()
         };
-        let (mut f, script, _tx) = test_flusher_with(cfg, 3, 1);
+        let (mut f, script, _tx) = test_flusher_with(cfg, 1);
         // Five singles in the log (sent below the batching threshold).
         for i in 0..5 {
             push_event(&mut f, i);
@@ -862,26 +838,6 @@ mod tests {
         assert_eq!(f.unacked.len(), 5, "the log itself stays per-event");
     }
 
-    /// Against a pre-v3 peer the same flush goes out as single `event`
-    /// frames — transparent fallback, no `events` frame ever written.
-    #[test]
-    fn pre_v3_peer_gets_single_frames() {
-        let cfg = SessionConfig {
-            ack_every: 100,
-            batch_max: 4,
-            ..SessionConfig::default()
-        };
-        let (mut f, script, _tx) = test_flusher_with(cfg, 2, 1);
-        push_batch(&mut f, 0..3);
-        let sent = script.sent.lock().unwrap();
-        assert_eq!(sent.len(), 3);
-        assert!(sent.iter().all(|m| matches!(m, ClientMsg::Event { .. })));
-        drop(sent);
-        assert_eq!(f.metrics.snapshot().wire_batches_sent, 0);
-        assert_eq!(f.metrics.snapshot().events_sent, 3);
-        assert_eq!(f.unacked.len(), 3);
-    }
-
     /// `DropNewest` accounting when only part of an intended batch fit
     /// in the queue: the overflow is counted dropped at enqueue, the
     /// queued remainder still flushes as one batch, and no event is
@@ -894,7 +850,7 @@ mod tests {
             batch_max: 8,
             ..SessionConfig::default()
         };
-        let (mut f, script, tx) = test_flusher_with(cfg, 3, 2);
+        let (mut f, script, tx) = test_flusher_with(cfg, 2);
         let queue = EventQueue::new(tx, OverflowPolicy::DropNewest, Arc::clone(&f.metrics));
         let mut accepted = 0;
         for rec in recs(0..5) {

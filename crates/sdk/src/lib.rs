@@ -18,8 +18,8 @@
 //!   payloads with the sender's context transparently, for programs
 //!   whose processes are threads.
 //! - [`SessionBuilder`] / [`SdkSession`] — opens a monitoring session
-//!   (processes, variables, predicates) over wire-protocol v2 and
-//!   spawns a background flusher. Events go into a bounded queue with
+//!   (processes, variables, predicates) over the `hb_tracefmt::wire`
+//!   protocol and spawns a background flusher. Events go into a bounded queue with
 //!   an explicit [`OverflowPolicy`] and drop accounting; the flusher
 //!   batches them out, reconnects through the shared jittered-backoff
 //!   dialer when the server dies, re-attaches to the recovered session,
@@ -89,16 +89,10 @@ pub enum SdkError {
     Transport(String),
     /// The server rejected a request (bad open, undeclared variable…).
     Session(String),
-    /// The server is too old for a registered predicate (a pattern
-    /// predicate against a pre-v4 monitor). Classified from the error's
-    /// machine-readable `kind`, never from message text, so callers can
-    /// reliably retry without the offending predicate.
-    UnsupportedPredicate(String),
     /// The peer cannot honor a requested distribution role (a
-    /// [`SessionBuilder::distributed`] open against a plain monitor or
-    /// a pre-v5 peer). Classified from the handshake version or the
-    /// error's machine-readable `kind`; callers should retry without
-    /// distribution rather than verbatim.
+    /// [`SessionBuilder::distributed`] open against a plain monitor).
+    /// Classified from the error's machine-readable `kind`; callers
+    /// should retry without distribution rather than verbatim.
     UnsupportedDistribution(String),
     /// The session was already closed (or its flusher is gone).
     Closed,
@@ -109,7 +103,6 @@ impl fmt::Display for SdkError {
         match self {
             SdkError::Transport(m) => write!(f, "transport: {m}"),
             SdkError::Session(m) => write!(f, "session: {m}"),
-            SdkError::UnsupportedPredicate(m) => write!(f, "unsupported predicate: {m}"),
             SdkError::UnsupportedDistribution(m) => write!(f, "unsupported distribution: {m}"),
             SdkError::Closed => write!(f, "session already closed"),
         }

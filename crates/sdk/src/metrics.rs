@@ -63,9 +63,9 @@ pub struct SdkSnapshot {
     pub events_dropped: u64,
     /// Flush batches written.
     pub batches_flushed: u64,
-    /// Batched `events` wire frames written (wire v3 peers only; a
-    /// flush batch may chunk into several, and stays 0 against older
-    /// peers where every event goes as its own frame).
+    /// Batched `events` wire frames written (a flush batch may chunk
+    /// into several; stays 0 with `batch_max` = 1, where every event
+    /// goes as its own frame).
     pub wire_batches_sent: u64,
     /// Acknowledgement barriers confirmed by the server.
     pub acks_received: u64,

@@ -31,13 +31,12 @@ pub struct SessionConfig {
     pub queue_capacity: usize,
     /// What tracers do when the queue is full.
     pub overflow: OverflowPolicy,
-    /// Maximum events written per flush batch — and, against a wire-v3
-    /// peer, per batched `events` frame.
+    /// Maximum events written per flush batch, and per batched
+    /// `events` frame.
     pub batch_max: usize,
     /// Approximate byte budget per batched `events` frame (estimated
     /// before serialization). A flush batch whose events exceed it is
-    /// chunked into several frames. Only consulted when the peer
-    /// negotiated wire version 3 or newer.
+    /// chunked into several frames.
     pub batch_bytes: usize,
     /// Events between acknowledgement barriers. Smaller = less resent
     /// on reconnect; larger = fewer round trips.
@@ -153,8 +152,6 @@ impl SessionBuilder {
 
     /// Registers a pattern predicate from the textual grammar, e.g.
     /// `"1:unlock=1 -> 0:lock=1"` (see `hb_pattern::parse_pattern`).
-    /// Pattern predicates need a wire-v4 monitor; older peers refuse
-    /// the open with [`SdkError::UnsupportedPredicate`].
     pub fn pattern(mut self, id: &str, spec: &str) -> Result<Self, SdkError> {
         let pattern = hb_pattern::parse_pattern(spec)
             .map_err(|e| SdkError::Session(format!("pattern '{id}': {e}")))?;
@@ -172,8 +169,7 @@ impl SessionBuilder {
     /// process id) and aggregates their slice observations into the
     /// same verdicts a single backend would emit.
     ///
-    /// Needs a wire-v5 *gateway*: a plain monitor, or any peer that
-    /// negotiated below v5, refuses the open with
+    /// Needs a *gateway*: a plain monitor refuses the open with
     /// [`SdkError::UnsupportedDistribution`]. Only conjunctive
     /// predicates can be detected distributed. `k = 0` turns
     /// distribution back off.
@@ -213,8 +209,7 @@ impl SessionBuilder {
     }
 
     /// Sets the flush-batch event cap. `1` disables wire batching
-    /// entirely: every event goes as its own `event` frame even to a
-    /// v3 peer.
+    /// entirely: every event goes as its own `event` frame.
     pub fn batch_max(mut self, events: usize) -> Self {
         self.config.batch_max = events.max(1);
         self
@@ -235,16 +230,6 @@ impl SessionBuilder {
         self,
         mut transport: Box<dyn Transport>,
     ) -> Result<(SdkSession, Vec<Tracer>), SdkError> {
-        if self.distribute.is_some() && transport.peer_version() < 5 {
-            // Fail fast on the handshake: a pre-v5 peer's `open` parser
-            // ignores the unknown `dist` key and would silently open a
-            // plain session instead.
-            return Err(SdkError::UnsupportedDistribution(format!(
-                "distributed sessions need a wire-v5 gateway; {} speaks v{}",
-                transport.describe(),
-                transport.peer_version()
-            )));
-        }
         let open_msg = ClientMsg::Open {
             session: self.name.clone(),
             processes: self.processes,
@@ -299,9 +284,6 @@ fn wait_for_opened(
                 // Classify on the machine-readable kind only — message
                 // text is for humans and free to change.
                 return match kind.as_deref() {
-                    Some(wire::error_kind::UNSUPPORTED_PREDICATE) => {
-                        Err(SdkError::UnsupportedPredicate(message))
-                    }
                     Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION) => {
                         Err(SdkError::UnsupportedDistribution(message))
                     }

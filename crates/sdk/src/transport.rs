@@ -34,15 +34,6 @@ pub trait Transport: Send {
     /// no-op.
     fn reconnect(&mut self) -> Result<(), String>;
 
-    /// The wire version the peer negotiated at the handshake. The
-    /// flusher consults it before batching — `events` frames need a
-    /// version-3 peer — and re-consults after every reconnect, since a
-    /// failover may land on an older build. In-process transports talk
-    /// to the current build and keep the default.
-    fn peer_version(&self) -> u32 {
-        wire::WIRE_VERSION
-    }
-
     /// Human-readable endpoint description for error messages.
     fn describe(&self) -> String;
 }
@@ -61,7 +52,6 @@ pub struct TcpTransport {
     stream: TcpStream,
     rx: crossbeam::channel::Receiver<ServerMsg>,
     dead: Arc<AtomicBool>,
-    peer_version: u32,
 }
 
 impl TcpTransport {
@@ -76,7 +66,6 @@ impl TcpTransport {
             stream: dialed.stream,
             rx,
             dead,
-            peer_version: dialed.peer_version,
         })
     }
 
@@ -134,12 +123,7 @@ impl Transport for TcpTransport {
         self.stream = dialed.stream;
         self.rx = rx;
         self.dead = dead;
-        self.peer_version = dialed.peer_version;
         Ok(())
-    }
-
-    fn peer_version(&self) -> u32 {
-        self.peer_version
     }
 
     fn describe(&self) -> String {

@@ -79,7 +79,7 @@ fn jitter_seed(addr: &str) -> u64 {
         .fold(nanos, |h, b| h.rotate_left(7) ^ u64::from(b))
 }
 
-/// Connects with retry; no handshake (any protocol version of peer).
+/// Connects with retry; no handshake.
 pub fn connect_with_retry(addr: &str, policy: &RetryPolicy) -> Result<TcpStream, String> {
     let attempts = policy.attempts.max(1);
     let mut last = String::new();
@@ -111,63 +111,32 @@ pub struct Dialed {
     pub reader: BufReader<TcpStream>,
     /// An unbuffered clone for out-of-band shutdown.
     pub stream: TcpStream,
-    /// The protocol version the handshake settled on — the lesser of
-    /// what we announced and what the peer welcomed. Senders consult it
-    /// before using frames the peer may not know (batched `events` need
-    /// 3 or newer).
-    pub peer_version: u32,
 }
 
-/// Connects with retry and performs the `Hello`/`Welcome` version
-/// handshake. Doubles as the health probe: a peer that completes it is
-/// alive, speaks the protocol, and accepts our version.
-///
-/// Negotiation walks downward: we announce [`wire::WIRE_VERSION`]
-/// first; a server that refuses it (`unsupported protocol version …`)
-/// keeps the connection, so we re-hello with the next-lower version
-/// until one is welcomed or the window is exhausted. A version-1 peer
-/// predates the handshake entirely and answers `unknown client
-/// message 'hello'`; if it leaves the connection usable we proceed at
-/// version 1 with no welcome.
+/// Connects with retry and performs the `Hello`/`Welcome` handshake.
+/// Doubles as the health probe: a peer that completes it is alive and
+/// speaks [`wire::WIRE_VERSION`]. Anything but a welcome at exactly
+/// that version is an error.
 pub fn dial(addr: &str, policy: &RetryPolicy) -> Result<Dialed, String> {
     let stream = connect_with_retry(addr, policy)?;
     let mut writer = BufWriter::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut announce = wire::WIRE_VERSION;
-    let peer_version = loop {
-        wire::write_frame(&mut writer, &ClientMsg::Hello { version: announce })
-            .map_err(|e| format!("handshake {addr}: {e}"))?;
-        match wire::read_frame::<_, ServerMsg>(&mut reader) {
-            Ok(Some(ServerMsg::Welcome { version })) => {
-                wire::check_version(version).map_err(|m| format!("handshake {addr}: {m}"))?;
-                break version.min(wire::WIRE_VERSION);
-            }
-            Ok(Some(ServerMsg::Error { message, .. }))
-                if message.contains("unsupported protocol version")
-                    && announce > wire::MIN_WIRE_VERSION =>
-            {
-                announce -= 1;
-            }
-            Ok(Some(ServerMsg::Error { message, .. }))
-                if message.contains("unknown client message") =>
-            {
-                break wire::MIN_WIRE_VERSION;
-            }
-            Ok(Some(ServerMsg::Error { message, .. })) => {
-                return Err(format!("handshake {addr}: {message}"));
-            }
-            Ok(Some(other)) => {
-                return Err(format!("handshake {addr}: unexpected reply {other:?}"));
-            }
-            Ok(None) => return Err(format!("handshake {addr}: peer closed the connection")),
-            Err(e) => return Err(format!("handshake {addr}: {e}")),
-        }
+    let hello = ClientMsg::Hello {
+        version: wire::WIRE_VERSION,
     };
+    wire::write_frame(&mut writer, &hello).map_err(|e| format!("handshake {addr}: {e}"))?;
+    let welcomed = match wire::read_frame::<_, ServerMsg>(&mut reader) {
+        Ok(Some(ServerMsg::Welcome { version })) => wire::check_version(version),
+        Ok(Some(ServerMsg::Error { message, .. })) => Err(message),
+        Ok(Some(other)) => Err(format!("unexpected reply {other:?}")),
+        Ok(None) => Err("peer closed the connection".into()),
+        Err(e) => Err(e.to_string()),
+    };
+    welcomed.map_err(|m| format!("handshake {addr}: {m}"))?;
     Ok(Dialed {
         writer,
         reader,
         stream,
-        peer_version,
     })
 }
 
@@ -287,6 +256,53 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    /// Dials a one-shot peer that reads the `hello` and answers `reply`.
+    fn dial_scripted(reply: ServerMsg) -> Result<Dialed, String> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let hello = wire::read_frame::<_, ClientMsg>(&mut reader).unwrap();
+            assert_eq!(
+                hello,
+                Some(ClientMsg::Hello {
+                    version: wire::WIRE_VERSION
+                })
+            );
+            wire::write_frame(&mut BufWriter::new(stream), &reply).unwrap();
+        });
+        let dialed = dial(&addr, &RetryPolicy::default());
+        peer.join().unwrap();
+        dialed
+    }
+
+    #[test]
+    fn dial_accepts_only_a_welcome_at_this_version() {
+        assert!(dial_scripted(ServerMsg::Welcome { version: 5 }).is_ok());
+        let err = dial_scripted(ServerMsg::Welcome { version: 4 })
+            .err()
+            .unwrap();
+        assert!(err.starts_with("handshake "), "{err}");
+        assert!(
+            err.ends_with("unsupported protocol version 4 (this peer speaks 5)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn dial_refuses_a_peer_that_does_not_know_hello() {
+        let err = dial_scripted(ServerMsg::Error {
+            session: None,
+            kind: None,
+            message: "unknown client message 'hello'".into(),
+        })
+        .err()
+        .unwrap();
+        assert!(err.starts_with("handshake "), "{err}");
+        assert!(err.ends_with("unknown client message 'hello'"), "{err}");
     }
 
     #[test]

@@ -30,121 +30,22 @@ mod hot;
 /// Frames larger than this are rejected without being read (16 MiB).
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// The protocol version this build speaks.
+/// The protocol version this build speaks, and the only one.
 ///
-/// Version history:
-/// * **1** — the original `hb-monitor` protocol: no handshake; the
-///   first client frame is `open`/`event`/`stats`/….
-/// * **2** — adds the optional [`ClientMsg::Hello`] / [`ServerMsg::Welcome`]
-///   handshake and the gateway admin frames ([`ClientMsg::Drain`],
-///   [`ServerMsg::Drained`]).
-/// * **3** — adds the batched [`ClientMsg::Events`] frame. Batching is
-///   negotiated: a server echoes the client's version in `welcome`
-///   (capped at its own), and a client only sends `events` frames to a
-///   peer that welcomed version 3 or newer.
-/// * **4** — adds pattern predicates: [`WirePredicate`] grows a
-///   `pattern` mode carrying a [`WirePattern`] (a regular event pattern
-///   for predictive monitoring). A pre-v4 server answers an `open`
-///   carrying one with an error of kind
-///   [`error_kind::UNSUPPORTED_PREDICATE`], so clients degrade cleanly
-///   without parsing the message text.
-/// * **5** — adds distributed sessions: `open` grows an optional
-///   `dist` field carrying a [`WireDistRole`], and the inter-monitor
-///   [`ClientMsg::DistEvent`] / `slice-update` frames let a gateway
-///   fan one session's stream out over worker backends and relay
-///   their observations to an aggregator. The `dist` field is *not*
-///   self-guarding — a genuine v4 decoder ignores unknown object keys
-///   and would open a plain session — so distribution is gated on the
-///   `hello`/`welcome` handshake: a peer that negotiated below 5 is
-///   refused with an error of kind
-///   [`error_kind::UNSUPPORTED_DISTRIBUTION`].
+/// Earlier versions (1–4) are not spoken: every message the protocol
+/// has — the optional `hello`, batched `events`, pattern predicates,
+/// distributed sessions — is part of this one version.
 pub const WIRE_VERSION: u32 = 5;
 
-/// The oldest peer version still accepted. A client that never sends
-/// `Hello` is treated as this version — version-1 peers predate the
-/// handshake entirely, so their absence of one must stay legal.
-pub const MIN_WIRE_VERSION: u32 = 1;
-
 /// Validates a peer's announced protocol version; the `Err` carries the
-/// exact message a server should answer with before ignoring the peer.
+/// exact message a server answers with before ignoring the peer.
 pub fn check_version(version: u32) -> Result<(), String> {
-    negotiate_version(version, WIRE_VERSION).map(|_| ())
-}
-
-/// Server-side handshake: validates a client's announced version
-/// against the highest version this server speaks (`max`, normally
-/// [`WIRE_VERSION`]) and returns the version to echo in
-/// [`ServerMsg::Welcome`] — the client's own, so an older client is
-/// never welcomed with a number it would refuse. The `Err` carries the
-/// exact message to answer with before ignoring the peer; a client
-/// seeing it retries the handshake with its next-lower version.
-pub fn negotiate_version(version: u32, max: u32) -> Result<u32, String> {
-    if (MIN_WIRE_VERSION..=max).contains(&version) {
-        Ok(version)
+    if version == WIRE_VERSION {
+        Ok(())
     } else {
         Err(format!(
-            "unsupported protocol version {version} (this peer speaks \
-             {MIN_WIRE_VERSION} through {max})"
+            "unsupported protocol version {version} (this peer speaks {WIRE_VERSION})"
         ))
-    }
-}
-
-/// The version gate: what a `peer` (`"monitor"`, `"gateway"`) whose
-/// highest protocol version is `version` answers to `msg` **instead of**
-/// handling it, or `None` when that version knows the message.
-///
-/// Servers emulating an older build (their `wire_version` knob) call
-/// this on every client frame, so which message needs which version —
-/// and what the older parser would have said — is decided here and
-/// nowhere else. A frame type the old decoder never had is answered the
-/// way its parser would: `unknown client message '<type>'`, no session,
-/// no kind. An `open` carrying a newer feature gets a machine-readable
-/// [`error_kind`], so dialers can classify the downgrade without
-/// scraping message text; for `dist` that is deliberately louder than a
-/// real pre-v5 parser, which would silently ignore the key and open a
-/// plain session — a correctness hazard, not a degradation.
-pub fn refusal(version: u32, peer: &str, msg: &ClientMsg) -> Option<ServerMsg> {
-    let unknown = |tag: &str| ServerMsg::Error {
-        session: None,
-        kind: None,
-        message: format!("unknown client message '{tag}'"),
-    };
-    let unsupported = |session: &str, kind: &str, what: &str, needs: u32| ServerMsg::Error {
-        session: Some(session.to_string()),
-        kind: Some(kind.to_string()),
-        message: format!("{what} need wire v{needs}; this {peer} speaks v{version}"),
-    };
-    match msg {
-        ClientMsg::Events { .. } if version < 3 => Some(unknown("events")),
-        ClientMsg::DistEvent { .. } if version < 5 => Some(unknown("dist-event")),
-        ClientMsg::SliceUpdate { .. } if version < 5 => Some(unknown("slice-update")),
-        ClientMsg::Open {
-            session,
-            predicates,
-            ..
-        } if version < 4
-            && predicates
-                .iter()
-                .any(|p| p.mode == WireMode::Pattern || p.pattern.is_some()) =>
-        {
-            Some(unsupported(
-                session,
-                error_kind::UNSUPPORTED_PREDICATE,
-                "pattern predicates",
-                4,
-            ))
-        }
-        ClientMsg::Open {
-            session,
-            dist: Some(_),
-            ..
-        } if version < 5 => Some(unsupported(
-            session,
-            error_kind::UNSUPPORTED_DISTRIBUTION,
-            "distributed sessions",
-            5,
-        )),
-        _ => None,
     }
 }
 
@@ -156,7 +57,7 @@ pub enum WireMode {
     /// Any clause may hold.
     Disjunctive,
     /// A regular event pattern over the predicate's [`WirePattern`];
-    /// clauses are unused. Wire version 4.
+    /// clauses are unused.
     Pattern,
 }
 
@@ -262,8 +163,7 @@ pub struct EventFrame {
 
 impl EventFrame {
     /// Rewraps this frame as the single-event message it abbreviates —
-    /// how a relay downgrades a batch for a pre-v3 backend, and how a
-    /// receiver feeds batch members through its per-event path.
+    /// how a receiver feeds batch members through its per-event path.
     pub fn into_event(self, session: &str) -> ClientMsg {
         ClientMsg::Event {
             session: session.to_string(),
@@ -274,7 +174,7 @@ impl EventFrame {
     }
 }
 
-/// The distribution role of a session on the wire (v5), carried in the
+/// The distribution role of a session on the wire, carried in the
 /// optional `dist` field of [`ClientMsg::Open`].
 ///
 /// A *client* opens a session with [`WireDistRole::Distribute`]
@@ -313,7 +213,7 @@ pub enum WireDistRole {
     },
 }
 
-/// One observation inside a `slice-update` frame (wire v5): what a
+/// One observation inside a `slice-update` frame: what a
 /// worker learned from the event the gateway stamped with `seq`, or a
 /// gateway-originated lifecycle marker taking that seq's slot.
 ///
@@ -354,10 +254,10 @@ pub enum SliceUpdateBody {
 pub enum ClientMsg {
     /// Version handshake: announces the client's protocol version.
     ///
-    /// Optional — a peer whose first frame is anything else is assumed
-    /// to speak [`MIN_WIRE_VERSION`]. A server answers with
-    /// [`ServerMsg::Welcome`] on a supported version and
-    /// [`ServerMsg::Error`] (`unsupported protocol version …`) otherwise.
+    /// Optional — a peer that never sends one is served at
+    /// [`WIRE_VERSION`]. A server answers with [`ServerMsg::Welcome`]
+    /// when `version` is [`WIRE_VERSION`] and [`ServerMsg::Error`]
+    /// (`unsupported protocol version …`) otherwise.
     Hello {
         /// The client's [`WIRE_VERSION`].
         version: u32,
@@ -383,7 +283,7 @@ pub enum ClientMsg {
         initial: Vec<BTreeMap<String, i64>>,
         /// Predicates to detect online.
         predicates: Vec<WirePredicate>,
-        /// Distribution role (wire v5; absent = a plain session).
+        /// Distribution role (absent = a plain session).
         dist: Option<WireDistRole>,
     },
     /// One observed event: process `p` moved to a new local state.
@@ -399,7 +299,7 @@ pub enum ClientMsg {
     },
     /// A batch of observed events for one session, in send order.
     ///
-    /// Wire version 3. Semantically identical to sending each member as
+    /// Semantically identical to sending each member as
     /// a [`ClientMsg::Event`] in sequence — batching is purely a
     /// transport optimization and must never change verdicts. A batch
     /// is never empty; receivers reject zero-length batches so a
@@ -411,7 +311,7 @@ pub enum ClientMsg {
         events: Vec<EventFrame>,
     },
     /// One event of a distributed session, forwarded by the gateway to
-    /// the worker owning the event's process (wire v5).
+    /// the worker owning the event's process.
     ///
     /// `seq` is the gateway-assigned position of the event in the
     /// session's total client-frame order; the worker echoes it in the
@@ -425,8 +325,8 @@ pub enum ClientMsg {
         /// The event itself.
         event: EventFrame,
     },
-    /// One slice observation for a distributed session's aggregator
-    /// (wire v5): relayed by the gateway from a worker's
+    /// One slice observation for a distributed session's aggregator:
+    /// relayed by the gateway from a worker's
     /// [`ServerMsg::SliceUpdate`], or gateway-originated for the
     /// finish/close lifecycle markers.
     SliceUpdate {
@@ -479,9 +379,7 @@ impl ClientMsg {
 /// Messages the monitor sends to a client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerMsg {
-    /// Handshake acknowledgement: the server's protocol version (which
-    /// may be lower than the client announced — the client decides
-    /// whether to continue).
+    /// Handshake acknowledgement: the server's protocol version.
     Welcome {
         /// The server's [`WIRE_VERSION`].
         version: u32,
@@ -515,7 +413,7 @@ pub enum ServerMsg {
         /// Events still undeliverable (dropped) at close.
         discarded: u64,
     },
-    /// A worker's slice observation for one forwarded event (wire v5).
+    /// A worker's slice observation for one forwarded event.
     ///
     /// Sent on the worker's connection back to the gateway, addressed
     /// to the *origin* session name; the gateway relays it to the
@@ -540,9 +438,7 @@ pub enum ServerMsg {
         session: Option<String>,
         /// Machine-readable classification — one of the [`error_kind`]
         /// constants — when the server recognized the cause. Absent
-        /// from unclassified errors and from peers predating the
-        /// field; clients must not parse `message` when a kind is
-        /// available.
+        /// from unclassified errors; clients must not parse `message`.
         kind: Option<String>,
         /// Human-readable cause.
         message: String,
@@ -567,15 +463,10 @@ pub mod error_kind {
     /// An event or finish for a process already declared finished
     /// (expected when a close window is replayed).
     pub const ALREADY_FINISHED: &str = "already_finished";
-    /// `Open` registered a predicate kind this peer does not support
-    /// (a pattern predicate on a pre-v4 monitor). NOT a replay
-    /// artifact: the client must drop the predicate or fail the open,
-    /// never retry it verbatim.
-    pub const UNSUPPORTED_PREDICATE: &str = "unsupported_predicate";
     /// `Open` asked for a distribution role this peer cannot honor: a
     /// `distribute` role on a plain monitor (distribution needs a
-    /// gateway), any role on a pre-v5 peer, or a distributed session
-    /// whose predicates the workers cannot evaluate locally. NOT a
+    /// gateway), or a distributed session whose predicates the workers
+    /// cannot evaluate locally. NOT a
     /// replay artifact: the client must fall back to a plain session
     /// or fail the open, never retry it verbatim.
     pub const UNSUPPORTED_DISTRIBUTION: &str = "unsupported_distribution";
@@ -678,8 +569,6 @@ impl Deserialize for WirePredicate {
         let mode = match help::field::<String>(v, "mode")?.as_str() {
             "conjunctive" => WireMode::Conjunctive,
             "disjunctive" => WireMode::Disjunctive,
-            // A v3-era decoder fails right here on a pattern predicate —
-            // the natural wire-level guard for genuinely old builds.
             "pattern" => WireMode::Pattern,
             other => {
                 return Err(DeError::msg(format!(
@@ -1576,21 +1465,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn negotiation_echoes_the_client_version() {
-        assert_eq!(negotiate_version(MIN_WIRE_VERSION, WIRE_VERSION), Ok(1));
-        assert_eq!(negotiate_version(2, WIRE_VERSION), Ok(2));
-        assert_eq!(
-            negotiate_version(WIRE_VERSION, WIRE_VERSION),
-            Ok(WIRE_VERSION)
-        );
-        // A v2-era server refuses a v3 hello; the client downgrades.
-        let err = negotiate_version(3, 2).unwrap_err();
-        assert!(err.contains("1 through 2"), "{err}");
-        assert!(negotiate_version(0, WIRE_VERSION).is_err());
-        assert!(negotiate_version(WIRE_VERSION + 1, WIRE_VERSION).is_err());
-    }
-
     fn sample_open(
         mode: WireMode,
         pattern: Option<WirePattern>,
@@ -1623,15 +1497,8 @@ mod tests {
         }
     }
 
-    /// `(first version that handles a message, error kind, error text)`.
-    type Older = (u32, Option<&'static str>, &'static str);
-
-    /// One sample of every client message — `open` in each of its
-    /// version-relevant shapes — with the first wire version whose
-    /// peers handle it and what older peers answer instead: the error
-    /// kind (typed refusals name the session, parser errors neither)
-    /// and the text, `{v}` standing for the refusing peer's version.
-    fn gated_samples() -> Vec<(ClientMsg, Older)> {
+    /// One sample of every client message, `open` in each of its shapes.
+    fn samples() -> Vec<ClientMsg> {
         let (open, pattern) = (sample_open, sample_pattern());
         let event = EventFrame {
             p: 0,
@@ -1639,122 +1506,46 @@ mod tests {
             set: BTreeMap::new(),
         };
         let session = || "s".to_string();
-        let no_pattern = (
-            4,
-            Some(error_kind::UNSUPPORTED_PREDICATE),
-            "pattern predicates need wire v4; this monitor speaks v{v}",
-        );
-        let no_dist = (
-            5,
-            Some(error_kind::UNSUPPORTED_DISTRIBUTION),
-            "distributed sessions need wire v5; this monitor speaks v{v}",
-        );
-        let distribute = Some(WireDistRole::Distribute { k: 2 });
-        let aggregator = Some(WireDistRole::Aggregator { k: 2 });
         vec![
-            (ClientMsg::Hello { version: 5 }, (1, None, "")),
-            (
-                ClientMsg::Drain {
-                    backend: "b".into(),
-                },
-                (1, None, ""),
+            ClientMsg::Hello { version: 5 },
+            ClientMsg::Drain {
+                backend: "b".into(),
+            },
+            ClientMsg::Stats,
+            ClientMsg::Shutdown,
+            open(WireMode::Conjunctive, None, None),
+            open(WireMode::Pattern, Some(pattern), None),
+            open(
+                WireMode::Conjunctive,
+                None,
+                Some(WireDistRole::Distribute { k: 2 }),
             ),
-            (ClientMsg::Stats, (1, None, "")),
-            (ClientMsg::Shutdown, (1, None, "")),
-            (open(WireMode::Conjunctive, None, None), (1, None, "")),
-            (event.clone().into_event("s"), (1, None, "")),
-            (
-                ClientMsg::FinishProcess {
-                    session: session(),
-                    p: 0,
-                },
-                (1, None, ""),
-            ),
-            (ClientMsg::Close { session: session() }, (1, None, "")),
-            (
-                ClientMsg::Events {
-                    session: session(),
-                    events: vec![event.clone()],
-                },
-                (3, None, "unknown client message 'events'"),
-            ),
-            (
-                open(WireMode::Pattern, Some(pattern.clone()), None),
-                no_pattern,
-            ),
-            // A pattern body under a clause mode is still a pattern open.
-            (open(WireMode::Conjunctive, Some(pattern), None), no_pattern),
-            (open(WireMode::Conjunctive, None, distribute), no_dist),
-            (open(WireMode::Conjunctive, None, aggregator), no_dist),
-            (
-                ClientMsg::DistEvent {
-                    session: session(),
-                    seq: 0,
-                    event,
-                },
-                (5, None, "unknown client message 'dist-event'"),
-            ),
-            (
-                ClientMsg::SliceUpdate {
-                    session: session(),
-                    seq: 0,
-                    update: SliceUpdateBody::Close,
-                },
-                (5, None, "unknown client message 'slice-update'"),
-            ),
+            event.clone().into_event("s"),
+            ClientMsg::Events {
+                session: session(),
+                events: vec![event.clone()],
+            },
+            ClientMsg::DistEvent {
+                session: session(),
+                seq: 0,
+                event,
+            },
+            ClientMsg::SliceUpdate {
+                session: session(),
+                seq: 0,
+                update: SliceUpdateBody::Close,
+            },
+            ClientMsg::FinishProcess {
+                session: session(),
+                p: 0,
+            },
+            ClientMsg::Close { session: session() },
         ]
     }
 
     #[test]
-    fn version_gate_answers_every_message_at_every_version() {
-        for (msg, (needs, kind, text)) in gated_samples() {
-            for version in MIN_WIRE_VERSION..=WIRE_VERSION {
-                let want = (version < needs).then(|| ServerMsg::Error {
-                    session: kind.map(|_| "s".to_string()),
-                    kind: kind.map(str::to_string),
-                    message: text.replace("{v}", &version.to_string()),
-                });
-                assert_eq!(
-                    refusal(version, "monitor", &msg),
-                    want,
-                    "{msg:?} at v{version}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn version_gate_names_the_refusing_peer_and_checks_patterns_first() {
-        let both = sample_open(
-            WireMode::Pattern,
-            Some(sample_pattern()),
-            Some(WireDistRole::Distribute { k: 2 }),
-        );
-        match refusal(3, "gateway", &both) {
-            Some(ServerMsg::Error { kind, message, .. }) => {
-                assert_eq!(kind.as_deref(), Some(error_kind::UNSUPPORTED_PREDICATE));
-                assert_eq!(
-                    message,
-                    "pattern predicates need wire v4; this gateway speaks v3"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-        match refusal(4, "gateway", &both) {
-            Some(ServerMsg::Error { kind, message, .. }) => {
-                assert_eq!(kind.as_deref(), Some(error_kind::UNSUPPORTED_DISTRIBUTION));
-                assert_eq!(
-                    message,
-                    "distributed sessions need wire v5; this gateway speaks v4"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn only_session_messages_name_a_session() {
-        for (msg, ..) in gated_samples() {
+        for msg in samples() {
             let connection_level = matches!(
                 msg,
                 ClientMsg::Hello { .. }
@@ -1773,12 +1564,8 @@ mod tests {
         assert!(error_kind::is_benign_replay(error_kind::ALREADY_FINISHED));
         assert!(!error_kind::is_benign_replay("wal_append_failed"));
         assert!(!error_kind::is_benign_replay(""));
-        // Refused predicates are real failures — retrying the same open
-        // against the same peer can never succeed.
-        assert!(!error_kind::is_benign_replay(
-            error_kind::UNSUPPORTED_PREDICATE
-        ));
-        // Likewise refused distribution roles.
+        // Refused distribution roles are real failures — retrying the
+        // same open against the same peer can never succeed.
         assert!(!error_kind::is_benign_replay(
             error_kind::UNSUPPORTED_DISTRIBUTION
         ));
@@ -1866,11 +1653,15 @@ mod tests {
 
     #[test]
     fn version_window_is_enforced() {
-        assert!(check_version(MIN_WIRE_VERSION).is_ok());
         assert!(check_version(WIRE_VERSION).is_ok());
-        let err = check_version(WIRE_VERSION + 1).unwrap_err();
-        assert!(err.contains("unsupported protocol version"), "{err}");
-        assert!(check_version(0).is_err());
+        for version in [0, 1, 4, 6] {
+            assert_eq!(
+                check_version(version),
+                Err(format!(
+                    "unsupported protocol version {version} (this peer speaks 5)"
+                ))
+            );
+        }
     }
 
     #[test]
