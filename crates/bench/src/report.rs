@@ -1,8 +1,8 @@
 //! One JSON schema for every `BENCH_*.json` artifact.
 //!
-//! `pattern_bench`, `slice_bench`, and `dist_bench` all emit the
-//! same record shape through this module, so CI artifact diffing (and
-//! any future dashboard) parses one format:
+//! `pattern_bench` and `dist_bench` both emit the same record shape
+//! through this module, so CI artifact diffing (and any future
+//! dashboard) parses one format:
 //!
 //! ```json
 //! {"group":"pattern","processes":8,
@@ -14,7 +14,7 @@
 //! Every run carries `name`, `ns_per_event`, and `throughput`; the
 //! report carries `flatness` (max/min ns-per-event across runs — 1.0
 //! is perfectly linear scaling). Bench-specific numbers such as
-//! `reduction_ratio` ride along as extra per-run fields.
+//! `overhead` ride along as extra per-run fields.
 
 /// One measured run: a label, how many events it processed, and how
 /// long it took. Derived rates are computed, never stored.

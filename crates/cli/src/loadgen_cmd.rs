@@ -11,13 +11,8 @@
 //! ```
 //!
 //! `--scenario sparse-predicate` draws values from `0..32` and monitors
-//! `x = 31` on every process, so only ~3% of events touch a true local
-//! clause — the workload the slicing ingest filter exists for. After
-//! the run, loadgen fetches the server's stats and reports the
-//! aggregate slice reduction (detector events cut); when the server
-//! has slicing on, a reduction below 5x fails the run, so the scenario
-//! doubles as an end-to-end check that the filter actually carries its
-//! weight under load.
+//! `x = 31` on every process, so only ~3% of events make a local clause
+//! true: a load shape where almost every observation is clause-false.
 //!
 //! `--scenario ordering-violation` switches the workload to two-process
 //! sessions carrying a `unlock=1 -> lock=1` **pattern** predicate: each
@@ -69,7 +64,7 @@
 //! single monitor against a self-hosted gateway over two monitors with
 //! the *same* workload, and reports the throughput ratio.
 
-use crate::monitor_cmd::{fetch_stats, shutdown_server, state_map, take_flag, take_switch};
+use crate::monitor_cmd::{shutdown_server, state_map, take_flag, take_switch};
 use hb_gateway::{GatewayConfig, GatewayService};
 use hb_monitor::{MonitorConfig, MonitorService};
 use hb_sdk::transport::TcpTransport;
@@ -210,40 +205,6 @@ impl LoadResult {
             self.percentile(100.0),
         )
     }
-}
-
-/// Aggregate slice reduction from a server's stats counters: total
-/// events entering the slicing filters over total reaching the
-/// detectors. `None` when no slice counters exist (slicing off, or a
-/// server predating the filter).
-fn slice_reduction(counters: &BTreeMap<String, u64>) -> Option<f64> {
-    let (mut events_in, mut filtered) = (0u64, 0u64);
-    for (key, &v) in counters {
-        if let Some(rest) = key.strip_prefix("slice.") {
-            if rest.ends_with(".events_in") {
-                events_in += v;
-            } else if rest.ends_with(".events_filtered") {
-                filtered += v;
-            }
-        }
-    }
-    (events_in > 0).then(|| events_in as f64 / events_in.saturating_sub(filtered).max(1) as f64)
-}
-
-/// Fetches the server's stats and enforces the sparse-predicate
-/// scenario's promise: slicing, when the server has it on, must cut
-/// detector work at least 5x. `None` = the server isn't slicing.
-fn check_slice_reduction(addr: &str) -> Result<Option<f64>, String> {
-    let counters = fetch_stats(addr, 0)?;
-    let Some(ratio) = slice_reduction(&counters) else {
-        return Ok(None);
-    };
-    if ratio < 5.0 {
-        return Err(format!(
-            "sparse-predicate: slice reduction {ratio:.2}x is below the 5x floor"
-        ));
-    }
-    Ok(Some(ratio))
 }
 
 /// The per-session seed: the run seed mixed with the session index.
@@ -597,19 +558,12 @@ impl HostedMonitor {
 fn compare_cmd(spec: &LoadSpec, json: bool) -> Result<String, String> {
     let plans = build_plans(spec);
 
-    // Leg 1: every worker against one monitor, directly. The hosted
-    // monitor slices by default, so the sparse scenario's reduction
-    // floor is checked here before the server goes away.
-    let (single_result, reduction) = {
+    // Leg 1: every worker against one monitor, directly.
+    let single_result = {
         let m = host_monitor()?;
         let r = run_load(&m.addr, &plans, spec)?;
-        let reduction = if spec.scenario == Scenario::SparsePredicate {
-            check_slice_reduction(&m.addr)?
-        } else {
-            None
-        };
         m.stop()?;
-        (r, reduction)
+        r
     };
 
     // Leg 2: the same workload through a gateway over two monitors.
@@ -646,11 +600,8 @@ fn compare_cmd(spec: &LoadSpec, json: bool) -> Result<String, String> {
 
     let speedup = gateway_result.sessions_per_sec() / single_result.sessions_per_sec();
     if json {
-        let slice = reduction
-            .map(|r| format!(",\"slice_reduction\":{r:.2}"))
-            .unwrap_or_default();
         Ok(format!(
-            "{{\"workers\":{},\"single\":{},\"gateway\":{},\"speedup\":{speedup:.3}{slice}}}\n",
+            "{{\"workers\":{},\"single\":{},\"gateway\":{},\"speedup\":{speedup:.3}}}\n",
             spec.workers,
             single_result.to_json(),
             gateway_result.to_json(),
@@ -660,9 +611,6 @@ fn compare_cmd(spec: &LoadSpec, json: bool) -> Result<String, String> {
         out.push_str(&single_result.to_text("single-monitor"));
         out.push_str(&gateway_result.to_text("gateway+2-backends"));
         let _ = writeln!(out, "speedup: {speedup:.2}x (gateway vs single)");
-        if let Some(r) = reduction {
-            let _ = writeln!(out, "slice reduction: {r:.1}x (detector events cut)");
-        }
         Ok(out)
     }
 }
@@ -775,30 +723,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
     };
     let plans = build_plans(&spec);
     let result = run_load(addr, &plans, &spec)?;
-    let reduction = if spec.scenario == Scenario::SparsePredicate {
-        check_slice_reduction(addr)?
+    Ok(if json {
+        format!("{}\n", result.to_json())
     } else {
-        None
-    };
-    if json {
-        Ok(match reduction {
-            Some(r) => format!(
-                "{{\"load\":{},\"slice_reduction\":{r:.2}}}\n",
-                result.to_json()
-            ),
-            None => format!("{}\n", result.to_json()),
-        })
-    } else {
-        let mut out = result.to_text("loadgen");
-        match (spec.scenario, reduction) {
-            (_, Some(r)) => {
-                let _ = writeln!(out, "slice reduction: {r:.1}x (detector events cut)");
-            }
-            (Scenario::SparsePredicate, None) => {
-                let _ = writeln!(out, "slice reduction: n/a (server has slicing off)");
-            }
-            _ => {}
-        }
-        Ok(out)
-    }
+        result.to_text("loadgen")
+    })
 }

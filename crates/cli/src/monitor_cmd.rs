@@ -3,7 +3,7 @@
 //! ```text
 //! hbtl monitor serve <addr> [--shards N] [--capacity N] [--stats-every SECS]
 //!                   [--data-dir DIR] [--sync always|os|interval:<ms>]
-//!                   [--snapshot-every N] [--no-slice]
+//!                   [--snapshot-every N]
 //! hbtl monitor send <addr> <trace> --session NAME
 //!                   (--conj SPEC | --disj SPEC | --pattern SPEC)...
 //!                   [--seed S] [--window W] [--retry N]
@@ -21,14 +21,11 @@
 //! every open session and resumes exactly where the crash interrupted
 //! it (see `hbtl store` for offline inspection of the directory).
 //!
-//! Regular (conjunctive) predicates are detected on their computation
-//! slice: an ingest filter drops slice-irrelevant events before the
-//! detector (verdicts are provably unchanged). `--no-slice` turns the
-//! filter off — the differential test suite uses it to pit sliced and
-//! unsliced servers against each other. `stats --json` reports the
-//! per-predicate filter counters plus a derived
-//! `slice.<pred>.reduction_ratio` (events in ÷ events reaching the
-//! detector).
+//! A plain session feeds every delivered event to its detectors. The
+//! workers of a distributed session ship per-event membership bits
+//! instead; `stats --json` reports their per-predicate filter counters
+//! plus a derived `slice.<pred>.reduction_ratio` (events in ÷ events
+//! whose clause held).
 //!
 //! `send` replays a recorded trace as a live computation would emit it:
 //! a seeded causality-respecting shuffle of the events (bounded
@@ -132,8 +129,8 @@ pub(crate) fn render_stats(
         out.push_str(&hb_tracefmt::prom::render(counters));
     } else if json {
         // One flat JSON object, counter name → integer value, plus a
-        // derived float `slice.<pred>.reduction_ratio` per sliced
-        // predicate: events in ÷ events that reached the detector.
+        // derived float `slice.<pred>.reduction_ratio` per predicate a
+        // worker filters: events in ÷ events whose clause held.
         use serde::Serialize as _;
         let mut entries: Vec<(String, serde::Value)> = counters
             .iter()
@@ -199,7 +196,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
     if data_dir.is_none() && (sync.is_some() || snapshot_every.is_some()) {
         return Err("--sync and --snapshot-every need --data-dir".into());
     }
-    let no_slice = take_switch(&mut rest, "--no-slice");
     let persist = data_dir.map(|dir| {
         let mut p = PersistConfig::new(dir.into());
         if let Some(sync) = sync {
@@ -226,7 +222,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         shards,
         limits: SessionLimits {
             buffer_capacity: capacity,
-            slice: !no_slice,
             ..SessionLimits::default()
         },
         stats_interval: stats_every.map(Duration::from_secs),

@@ -65,20 +65,6 @@ pub trait OnlineMonitor {
         self.observe(i, mask != 0, clock)
     }
 
-    /// Declares `count` skipped observations of process `i`: states an
-    /// ingest filter (computation slicing) proved irrelevant to the
-    /// verdict. The detector advances its per-process state counter as
-    /// if it had observed them — with no candidate push and no recheck
-    /// — so later candidates carry the same absolute state indices an
-    /// unfiltered run would assign.
-    ///
-    /// Only detectors a slicing filter may front support this; the
-    /// default panics, and sessions never slice the others.
-    fn skip_states(&mut self, i: usize, count: u64) {
-        let _ = (i, count);
-        panic!("this detector cannot be fronted by a slicing filter");
-    }
-
     /// Declares that process `i` will produce no further states; returns
     /// the (possibly newly settled) verdict.
     fn finish_process(&mut self, i: usize) -> OnlineVerdict;
@@ -239,14 +225,6 @@ impl OnlineMonitor for OnlineEfConjunctive {
     fn observe(&mut self, i: usize, holds: bool, clock: &VectorClock) -> OnlineVerdict {
         OnlineEfConjunctive::observe(self, i, holds, clock);
         self.verdict.clone()
-    }
-
-    fn skip_states(&mut self, i: usize, count: u64) {
-        // A skipped state is exactly an `observe(i, false, _)` (or a
-        // non-participating observation): it bumps `seen` and nothing
-        // else, so batching the bump preserves behavior verbatim.
-        assert!(!self.finished[i], "process {i} already finished");
-        self.seen[i] += u32::try_from(count).expect("skip count exceeds clock range");
     }
 
     fn finish_process(&mut self, i: usize) -> OnlineVerdict {
@@ -741,57 +719,6 @@ mod tests {
         }
         assert_eq!(whole.verdict(), OnlineMonitor::verdict(resumed.as_ref()));
         assert!(matches!(whole.verdict(), OnlineVerdict::Detected(_)));
-    }
-
-    #[test]
-    fn skipped_states_are_equivalent_to_false_observations() {
-        let (comp, x) = mutexish();
-        let n = comp.num_processes();
-        let p = Conjunctive::new(vec![(0, LocalExpr::eq(x, 2)), (2, LocalExpr::eq(x, 1))]);
-        let participating: Vec<bool> = (0..n)
-            .map(|i| p.clauses().iter().any(|c| c.process == i))
-            .collect();
-        let initially: Vec<bool> = (0..n).map(|i| p.clause_holds_at(&comp, i, 0)).collect();
-        let mut plain = OnlineEfConjunctive::new(n, participating.clone(), initially.clone());
-        let mut sliced = OnlineEfConjunctive::new(n, participating.clone(), initially);
-        // The sliced leg replaces every non-candidate observation with a
-        // lazily flushed skip, the way a session's ingest filter does.
-        let mut pending = vec![0u64; n];
-        for e in topo_order(&comp) {
-            let holds = p.clause_holds_at(&comp, e.process, e.index as u32 + 1);
-            plain.observe(e.process, holds, comp.clock(e));
-            if participating[e.process] && holds {
-                let skipped = std::mem::take(&mut pending[e.process]);
-                if skipped > 0 {
-                    OnlineMonitor::skip_states(&mut sliced, e.process, skipped);
-                }
-                sliced.observe(e.process, true, comp.clock(e));
-            } else {
-                pending[e.process] += 1;
-            }
-            assert_eq!(plain.verdict(), sliced.verdict());
-        }
-        for (i, skipped) in pending.iter_mut().enumerate() {
-            if *skipped > 0 {
-                OnlineMonitor::skip_states(&mut sliced, i, std::mem::take(skipped));
-            }
-            plain.finish_process(i);
-            sliced.finish_process(i);
-        }
-        assert!(matches!(plain.verdict(), OnlineVerdict::Detected(_)));
-        // Not just the verdicts: the full exported states coincide, so
-        // snapshots taken on either leg are interchangeable.
-        assert_eq!(
-            OnlineMonitor::export_state(&plain),
-            OnlineMonitor::export_state(&sliced)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be fronted")]
-    fn disjunctive_detector_rejects_skips() {
-        let mut m = OnlineEfDisjunctive::new(2, vec![false, false]);
-        OnlineMonitor::skip_states(&mut m, 0, 1);
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! streams and is the only member of the partition a client ever
 //! hears: its session carries the origin name, and the verdict and
 //! error frames it produces must be **byte-identical** to a
-//! single-backend sliced session fed the same events.
+//! single-backend session fed the same events.
 //!
 //! It achieves that by being the single-backend `Pipeline` behind a
 //! different front-end: where a session ingests `(process, clock,
 //! assignments)` and evaluates clauses on delivery, the aggregator
 //! ingests `(process, clock, membership bits)` — the clause truth the
 //! owning worker already computed — and on delivery hands each bit to
-//! the pipeline's `Detector::admit`, as the
-//! session does with its slicing filter's answer. Hold, duplicate,
+//! the detector's `observe` as the clause's `holds`, where the session
+//! hands the truth it evaluated. Hold, duplicate,
 //! overflow, discard, finish and settle behavior are that one
 //! pipeline's, so every error frame and every verdict lands in the
 //! same place in the frame stream.
@@ -120,14 +120,14 @@ impl DistAggregator {
         let limits = SessionLimits {
             buffer_capacity,
             policy,
-            slice: true,
+            ..SessionLimits::default()
         };
         Ok(DistAggregator {
             k,
             vars: var_names.to_vec(),
             predicates: predicates.to_vec(),
             limits,
-            pipeline: Pipeline::open(predicates, &validated, limits, |_| true),
+            pipeline: Pipeline::open(predicates, &validated, limits),
             next_seq: 0,
             reorder: BTreeMap::new(),
             kept: BTreeMap::new(),
@@ -200,8 +200,8 @@ impl DistAggregator {
 
     /// The single-backend event path over a worker's observation:
     /// finish-rejection, then the worker's variable refusal, then
-    /// ingest; a delivery's bits say which detectors it is a slice
-    /// member for.
+    /// ingest; a delivery's bits say which detectors see its clause
+    /// holding.
     fn observe(
         &mut self,
         p: usize,
@@ -226,7 +226,8 @@ impl DistAggregator {
             .ingest(p, clock, holds.clone(), |detectors, d| {
                 for (j, det) in detectors.iter_mut().enumerate() {
                     if !det.emitted {
-                        det.admit(d.process, d.payload.binary_search(&j).is_ok(), &d.clock);
+                        let holds = d.payload.binary_search(&j).is_ok();
+                        det.monitor.observe(d.process, holds, &d.clock);
                     }
                 }
             });
@@ -311,16 +312,6 @@ impl DistAggregator {
             buffer_capacity,
             policy,
         )?;
-        // Every aggregator detector defers skips, so its record must
-        // carry them.
-        if snap
-            .pipeline
-            .monitors
-            .iter()
-            .any(|m| m.pending.len() != processes)
-        {
-            return Err(shape("pending skips"));
-        }
         a.pipeline
             .restore(&snap.pipeline, a.limits, |holds| Ok(holds.clone()))
             .map_err(shape)?;
@@ -553,9 +544,6 @@ mod tests {
         let mut bad = good.clone();
         bad.pipeline.monitors.clear();
         assert!(DistAggregator::restore(&bad, 2, 4096, OverflowPolicy::Reject).is_err());
-        let mut bad = good.clone();
-        bad.pipeline.monitors[0].pending.clear();
-        assert!(DistAggregator::restore(&bad, 2, 4096, OverflowPolicy::Reject).is_err());
         let mut bad = good;
         bad.pipeline.held.push(crate::persist::HeldSnapshot {
             process: 7,
@@ -563,6 +551,60 @@ mod tests {
             payload: vec![],
         });
         assert!(DistAggregator::restore(&bad, 2, 4096, OverflowPolicy::Reject).is_err());
+    }
+
+    /// A snapshot the previous build wrote for an aggregator, whose
+    /// detectors were fed members only: `seen` short by the bit-less
+    /// deliveries, their count in the monitor's top-level `pending`. It
+    /// resumes exactly where an aggregator that observes every delivery
+    /// is: the same steps, and the same snapshot text at the end.
+    #[test]
+    fn an_old_snapshot_with_pending_skips_resumes_exactly() {
+        use crate::persist::{AggregatorSlotSnapshot, ServiceSnapshot};
+        use hb_detect::online::DetectorState;
+
+        let mut original = agg();
+        for (seq, p, clock) in [(0, 1, [0, 1]), (1, 0, [1, 0]), (2, 0, [2, 0])] {
+            assert!(original.update(seq, obs(p, &clock, &[])).is_empty());
+        }
+        let mut old = original.snapshot();
+        let DetectorState::Conjunctive(state) = &mut old.pipeline.monitors[0].state else {
+            panic!("a conjunctive detector");
+        };
+        assert_eq!(state.seen, vec![2, 1]);
+        state.seen = vec![0, 0];
+        let json = |snap: AggregatorSnapshot| {
+            ServiceSnapshot {
+                aggregators: vec![AggregatorSlotSnapshot {
+                    name: "d".into(),
+                    processes: 2,
+                    snap,
+                }],
+                ..ServiceSnapshot::default()
+            }
+            .to_json()
+        };
+        let text = json(old);
+        let end = r#""verdict":{"kind":"pending"}}"#;
+        let old_text = text.replacen(end, &format!(r#"{end},"pending":[2,1]"#), 1);
+        assert_ne!(old_text, text);
+        let read = ServiceSnapshot::from_json(old_text.as_bytes()).unwrap();
+        let mut restored =
+            DistAggregator::restore(&read.aggregators[0].snap, 2, 4096, OverflowPolicy::Reject)
+                .unwrap();
+        assert_eq!(restored.snapshot(), original.snapshot());
+
+        for a in [&mut original, &mut restored] {
+            assert!(a.update(3, obs(1, &[0, 2], &[0])).is_empty());
+            match &a.update(4, obs(0, &[3, 0], &[0]))[..] {
+                [AggStep::Verdict(v)] => match &v.verdict {
+                    OnlineVerdict::Detected(cut) => assert_eq!(cut.counters(), &[3, 2]),
+                    other => panic!("{other:?}"),
+                },
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(json(restored.snapshot()), json(original.snapshot()));
     }
 
     fn agg_with_capacity(capacity: usize) -> DistAggregator {

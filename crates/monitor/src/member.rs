@@ -125,12 +125,11 @@ pub(crate) enum Member {
     Aggregator(DistAggregator),
 }
 
-/// Drains slicing-filter counter deltas into the shared metrics. Called
-/// at verdict, finish, snapshot and close boundaries — never per event,
-/// so sliced ingestion stays mutex-free on the hot path (the counters
-/// lag by at most one such boundary). Only the member that filters
-/// reports: an aggregator repeating its workers' counts would double
-/// them.
+/// Drains a worker's membership-filter counter deltas into the shared
+/// metrics. Called at snapshot and close boundaries — never per event,
+/// so worker ingestion stays mutex-free on the hot path. Only the
+/// member that filters reports: an aggregator repeating its workers'
+/// counts would double them.
 fn flush_slice_stats(stats: Vec<(String, u64, u64)>, metrics: &Metrics) {
     for (id, events_in, events_filtered) in stats {
         metrics.record_slice(&id, events_in, events_filtered);
@@ -150,12 +149,7 @@ fn ingest(
 ) {
     out.metrics.events_ingested.fetch_add(1, Relaxed);
     match s.event(p, VectorClock::from_components(clock), set) {
-        Ok(verdicts) => {
-            if !verdicts.is_empty() {
-                flush_slice_stats(s.take_slice_stats(), out.metrics);
-            }
-            out.settle(name, verdicts);
-        }
+        Ok(verdicts) => out.settle(name, verdicts),
         Err(e) => out.failed(name, &e),
     }
 }
@@ -318,10 +312,7 @@ impl Member {
             }
             (Member::Plain(s), ClientMsg::FinishProcess { session, p }) => {
                 match s.finish_process(p) {
-                    Ok(verdicts) => {
-                        flush_slice_stats(s.take_slice_stats(), out.metrics);
-                        out.settle(&session, verdicts);
-                    }
+                    Ok(verdicts) => out.settle(&session, verdicts),
                     Err(e) => out.failed(&session, &e),
                 }
             }
@@ -356,7 +347,6 @@ impl Member {
         match self {
             Member::Plain(s) => {
                 let (verdicts, discarded) = s.close();
-                flush_slice_stats(s.take_slice_stats(), out.metrics);
                 out.closed(name, verdicts, discarded);
             }
             // The gateway closes the partitions before sending the
@@ -395,25 +385,20 @@ impl Member {
             .collect()
     }
 
-    /// Forgets which slicing counters were already reported, so the
-    /// next flush reports the member's lifetime totals: WAL replay
-    /// reports into a scratch metrics block, and the real one must not
-    /// miss what replay flushed.
+    /// Forgets which slicing counters a worker already reported, so
+    /// the next flush reports its lifetime totals: WAL replay reports
+    /// into a scratch metrics block, and the real one must not miss
+    /// what replay flushed.
     pub fn rewind_slice_stats(&mut self) {
-        match self {
-            Member::Plain(s) => s.rewind_slice_stats(),
-            Member::Worker { engine, .. } => engine.rewind_slice_stats(),
-            Member::Aggregator(_) => {}
+        if let Member::Worker { engine, .. } = self {
+            engine.rewind_slice_stats();
         }
     }
 
     /// Freezes the member into its list of the service snapshot.
     pub fn freeze(&mut self, name: &str, metrics: &Metrics, snap: &mut ServiceSnapshot) {
         match self {
-            Member::Plain(s) => {
-                flush_slice_stats(s.take_slice_stats(), metrics);
-                snap.sessions.push(s.snapshot());
-            }
+            Member::Plain(s) => snap.sessions.push(s.snapshot()),
             Member::Worker { origin, engine } => {
                 flush_slice_stats(engine.take_slice_stats(), metrics);
                 snap.workers.push(WorkerSlotSnapshot {

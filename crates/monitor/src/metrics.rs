@@ -81,10 +81,11 @@ pub struct Metrics {
     /// A mutex, not an atomic: verdicts settle at most once per
     /// predicate, far off the hot ingestion path.
     pub verdict_counts: Mutex<BTreeMap<String, u64>>,
-    /// Per-predicate slicing-filter counters, keyed
-    /// `slice.<predicate>.events_in` / `slice.<predicate>.events_filtered`.
-    /// Flushed in batches at verdict/snapshot/close boundaries, never
-    /// per event, so a mutex is fine here too.
+    /// Per-predicate membership-filter counters of the distributed
+    /// workers this backend hosts, keyed `slice.<predicate>.events_in`
+    /// / `slice.<predicate>.events_filtered`. Flushed in batches at
+    /// snapshot/close boundaries, never per event, so a mutex is fine
+    /// here too.
     pub slice_counts: Mutex<BTreeMap<String, u64>>,
 }
 
@@ -118,7 +119,7 @@ impl Metrics {
             .or_insert(0) += 1;
     }
 
-    /// Accumulates a slicing filter's counter deltas for one predicate.
+    /// Accumulates a worker filter's counter deltas for one predicate.
     pub fn record_slice(&self, predicate: &str, events_in: u64, events_filtered: u64) {
         if events_in == 0 && events_filtered == 0 {
             return;

@@ -20,7 +20,6 @@ use hb_detect::online::{
     CandidateState, ConjunctiveState, DetectorState, DisjunctiveState, PatternChainState,
     PatternState, VerdictState,
 };
-use hb_slice::SliceState;
 use hb_store::SyncPolicy;
 use hb_tracefmt::wire::{SliceUpdateBody, WirePredicate};
 use serde::{help, DeError, Deserialize, Serialize, Value};
@@ -74,14 +73,6 @@ pub struct MonitorSnapshot {
     pub emitted: bool,
     /// The detector's exported state.
     pub state: DetectorState,
-    /// Per-process deliveries a membership filter kept from the
-    /// detector and has not yet flushed into it as skipped states.
-    /// Empty for a detector that is fed unfiltered.
-    pub pending: Vec<u64>,
-    /// The slicing ingest filter's state, when a plain session sliced
-    /// the predicate. Absent in pre-slicing snapshots, for unsliceable
-    /// predicates, and in an aggregator (its filters are the workers').
-    pub slice: Option<SliceState>,
 }
 
 /// The delivery pipeline of a plain session or an aggregator, frozen:
@@ -361,26 +352,6 @@ impl Json for MonitorSnapshot {
         obj.field("id", &self.id)
             .field("emitted", &self.emitted)
             .field("state", &self.state);
-        if let Some(slice) = &self.slice {
-            obj.field("slice", &SliceFields(slice, &self.pending));
-        } else if !self.pending.is_empty() {
-            obj.field("pending", &self.pending);
-        }
-        obj.end();
-    }
-}
-
-/// A sliced monitor's `slice` record, its pending skips inside.
-struct SliceFields<'a>(&'a SliceState, &'a Vec<u64>);
-
-impl Json for SliceFields<'_> {
-    fn json(&self, out: &mut String) {
-        let SliceFields(slice, pending) = self;
-        let mut obj = Obj::new(out);
-        obj.field("holds", &slice.holds)
-            .field("pending", *pending)
-            .field("events_in", &slice.events_in)
-            .field("events_filtered", &slice.events_filtered);
         obj.end();
     }
 }
@@ -663,58 +634,53 @@ fn detector_from_value(v: &Value) -> Result<DetectorState, DeError> {
     }
 }
 
-fn slice_from_value(v: &Value) -> Result<SliceState, DeError> {
-    help::object(v)?;
-    Ok(SliceState {
-        holds: help::field(v, "holds")?,
-        events_in: help::field_or_default(v, "events_in")?,
-        events_filtered: help::field_or_default(v, "events_filtered")?,
-    })
-}
-
-/// A plain session's sliced monitor nests its pending skips in the
-/// `slice` record; an aggregator's monitor carries them at the top
-/// level; an unfiltered monitor has none to write.
 impl Serialize for MonitorSnapshot {
     fn to_value(&self) -> Value {
-        let mut fields = vec![
+        Value::Object(vec![
             ("id".into(), self.id.to_value()),
             ("emitted".into(), self.emitted.to_value()),
             ("state".into(), detector_to_value(&self.state)),
-        ];
-        if let Some(slice) = &self.slice {
-            fields.push((
-                "slice".into(),
-                Value::Object(vec![
-                    ("holds".into(), slice.holds.to_value()),
-                    ("pending".into(), self.pending.to_value()),
-                    ("events_in".into(), slice.events_in.to_value()),
-                    ("events_filtered".into(), slice.events_filtered.to_value()),
-                ]),
-            ));
-        } else if !self.pending.is_empty() {
-            fields.push(("pending".into(), self.pending.to_value()));
-        }
-        Value::Object(fields)
+        ])
     }
 }
 
+/// Reads a monitor record, old shapes too. Earlier builds kept
+/// clause-false deliveries from a conjunctive detector and wrote their
+/// per-process count as `pending`: inside a `slice` record for a plain
+/// session, at the top level for an aggregator. Each such delivery
+/// would only have advanced the detector's state counter, so the count
+/// is folded into `seen`, where an unfiltered run leaves it. Written
+/// directly rather than replayed through `observe`, so a finished
+/// process takes it too.
 impl Deserialize for MonitorSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         help::object(v)?;
-        let slice = v.get("slice");
+        let mut state = detector_from_value(
+            v.get("state")
+                .ok_or_else(|| DeError::msg("missing field 'state'"))?,
+        )?;
+        let pending: Option<Vec<u64>> = match v.get("slice") {
+            Some(slice) => Some(help::field(slice, "pending")?),
+            None => help::field_opt(v, "pending")?,
+        };
+        if let Some(pending) = pending {
+            let DetectorState::Conjunctive(s) = &mut state else {
+                return Err(DeError::msg("'pending' on a non-conjunctive detector"));
+            };
+            if pending.len() != s.seen.len() {
+                return Err(DeError::msg("'pending' does not match the process count"));
+            }
+            for (seen, &skipped) in s.seen.iter_mut().zip(&pending) {
+                *seen = u32::try_from(skipped)
+                    .ok()
+                    .and_then(|k| seen.checked_add(k))
+                    .ok_or_else(|| DeError::msg("'pending' overflows the state counter"))?;
+            }
+        }
         Ok(MonitorSnapshot {
             id: help::field(v, "id")?,
             emitted: help::field(v, "emitted")?,
-            state: detector_from_value(
-                v.get("state")
-                    .ok_or_else(|| DeError::msg("missing field 'state'"))?,
-            )?,
-            pending: match slice {
-                Some(slice) => help::field(slice, "pending")?,
-                None => help::field_or_default(v, "pending")?,
-            },
-            slice: slice.map(slice_from_value).transpose()?,
+            state,
         })
     }
 }
@@ -1057,12 +1023,6 @@ mod tests {
                                 finished: vec![false, false],
                                 verdict: VerdictState::Pending,
                             }),
-                            pending: vec![0, 3],
-                            slice: Some(SliceState {
-                                holds: vec![true, false],
-                                events_in: 5,
-                                events_filtered: 3,
-                            }),
                         },
                         MonitorSnapshot {
                             id: "any".into(),
@@ -1072,8 +1032,6 @@ mod tests {
                                 live: 2,
                                 verdict: VerdictState::Detected(vec![2, 0]),
                             }),
-                            pending: Vec::new(),
-                            slice: None,
                         },
                         MonitorSnapshot {
                             id: "inv".into(),
@@ -1100,8 +1058,6 @@ mod tests {
                                 seen: vec![2, 1],
                                 verdict: VerdictState::Pending,
                             }),
-                            pending: Vec::new(),
-                            slice: None,
                         },
                     ],
                 },
@@ -1211,17 +1167,23 @@ mod tests {
 
     /// A snapshot payload written by the build before the engines were
     /// moved behind one pipeline (PR 14, `f414470`), byte for byte: a
-    /// sliced session mid-run with a held event and pending skips, a
-    /// pattern session, a worker with a held event, and an aggregator
-    /// with a held update, pending skips and a parked reorder entry. A
-    /// data directory that build left behind must recover under this
-    /// one, and this one must write what that one would read.
+    /// session mid-run whose filter kept clause-false events from its
+    /// detector (a `slice` record with pending counts) and held an
+    /// event, a pattern session, a worker with a held event, and an
+    /// aggregator with a held update, top-level pending counts and a
+    /// parked reorder entry. A data directory that build left behind
+    /// must recover under this one.
     const GOLDEN_PR14: &str = r##"{"version":1,"sessions":[{"name":"plain","processes":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"states":[[1],[0,3]],"frontier":[1,1],"held":[{"process":1,"clock":[2,2],"set":{"x1":2}}],"finished":[false,false],"monitor_finished":[false,false],"delivered":2,"monitors":[{"id":"ef","emitted":false,"state":{"kind":"conjunctive","n":2,"queues":[[],[]],"participating":[true,true],"seen":[0,0],"finished":[false,false],"verdict":{"kind":"pending"}},"slice":{"holds":[false,false],"pending":[1,1],"events_in":2,"events_filtered":2}}]},{"name":"pat","processes":2,"vars":["unlock","lock"],"predicates":[{"id":"inversion","mode":"pattern","clauses":[],"pattern":{"atoms":[{"process":1,"var":"unlock","op":"=","value":1},{"process":0,"var":"lock","op":"=","value":1}]}}],"states":[[0,1],[]],"frontier":[1,0],"held":[],"finished":[false,false],"monitor_finished":[false,false],"delivered":1,"monitors":[{"id":"inversion","emitted":false,"state":{"kind":"pattern","n":2,"causal":[false,false],"frontiers":[[{"join":[0,0],"last":[0,0]}],[],[]],"candidates":[[[],[]],[[[1,0]],[]]],"finished":[false,false],"seen":[1,0],"verdict":{"kind":"pending"}}}]}],"workers":[{"name":"d#w0","origin":"d","worker":0,"k":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"states":[[2],[]],"counts":[1,0],"holds":[[true,false]],"filtered":[{"events_in":1,"events_filtered":0}],"held":[{"seq":3,"process":0,"clock":[3,0],"set":{"x0":5}}]}],"aggregators":[{"name":"d","processes":2,"k":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"frontier":[1,0],"held":[{"process":1,"clock":[2,1],"holds":[0]}],"finished":[false,false],"monitor_finished":[false,false],"delivered":1,"monitors":[{"id":"ef","emitted":false,"state":{"kind":"conjunctive","n":2,"queues":[[],[]],"participating":[true,true],"seen":[0,0],"finished":[false,false],"verdict":{"kind":"pending"}},"pending":[1,0]}],"next_seq":2,"reorder":[{"seq":3,"update":{"op":"finish","p":1}}]}]}"##;
+
+    /// The same snapshot as this build writes it: no `slice` record and
+    /// no `pending` counts, which are folded into the conjunctive
+    /// detectors' `seen` instead.
+    const GOLDEN_UNFILTERED: &str = r##"{"version":1,"sessions":[{"name":"plain","processes":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"states":[[1],[0,3]],"frontier":[1,1],"held":[{"process":1,"clock":[2,2],"set":{"x1":2}}],"finished":[false,false],"monitor_finished":[false,false],"delivered":2,"monitors":[{"id":"ef","emitted":false,"state":{"kind":"conjunctive","n":2,"queues":[[],[]],"participating":[true,true],"seen":[1,1],"finished":[false,false],"verdict":{"kind":"pending"}}}]},{"name":"pat","processes":2,"vars":["unlock","lock"],"predicates":[{"id":"inversion","mode":"pattern","clauses":[],"pattern":{"atoms":[{"process":1,"var":"unlock","op":"=","value":1},{"process":0,"var":"lock","op":"=","value":1}]}}],"states":[[0,1],[]],"frontier":[1,0],"held":[],"finished":[false,false],"monitor_finished":[false,false],"delivered":1,"monitors":[{"id":"inversion","emitted":false,"state":{"kind":"pattern","n":2,"causal":[false,false],"frontiers":[[{"join":[0,0],"last":[0,0]}],[],[]],"candidates":[[[],[]],[[[1,0]],[]]],"finished":[false,false],"seen":[1,0],"verdict":{"kind":"pending"}}}]}],"workers":[{"name":"d#w0","origin":"d","worker":0,"k":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"states":[[2],[]],"counts":[1,0],"holds":[[true,false]],"filtered":[{"events_in":1,"events_filtered":0}],"held":[{"seq":3,"process":0,"clock":[3,0],"set":{"x0":5}}]}],"aggregators":[{"name":"d","processes":2,"k":2,"vars":["x0","x1"],"predicates":[{"id":"ef","mode":"conjunctive","clauses":[{"process":0,"var":"x0","op":"=","value":2},{"process":1,"var":"x1","op":"=","value":1}]}],"frontier":[1,0],"held":[{"process":1,"clock":[2,1],"holds":[0]}],"finished":[false,false],"monitor_finished":[false,false],"delivered":1,"monitors":[{"id":"ef","emitted":false,"state":{"kind":"conjunctive","n":2,"queues":[[],[]],"participating":[true,true],"seen":[1,0],"finished":[false,false],"verdict":{"kind":"pending"}}}],"next_seq":2,"reorder":[{"seq":3,"update":{"op":"finish","p":1}}]}]}"##;
 
     #[test]
     fn a_snapshot_written_by_the_previous_build_restores_and_rewrites_identically() {
         let snap = ServiceSnapshot::from_json(GOLDEN_PR14.as_bytes()).unwrap();
-        assert_eq!(snap.to_json(), GOLDEN_PR14, "parse and re-serialize");
+        assert_eq!(snap.to_json(), GOLDEN_UNFILTERED, "parse and re-serialize");
         // Member by member prints what the whole tree prints.
         for snap in [&snap, &sample(), &ServiceSnapshot::default()] {
             assert_eq!(
@@ -1240,7 +1202,31 @@ mod tests {
         for (name, mut member) in members {
             member.freeze(&name, &metrics, &mut back);
         }
-        assert_eq!(back.to_json(), GOLDEN_PR14, "restore and re-freeze");
+        assert_eq!(back.to_json(), GOLDEN_UNFILTERED, "restore and re-freeze");
+    }
+
+    /// Old pending counts are refused where no build wrote them: on a
+    /// detector that is not conjunctive, or of the wrong width.
+    #[test]
+    fn misplaced_pending_counts_are_refused() {
+        let record = |state: &str, extra: &str| {
+            format!(
+                r#"{{"version":1,"sessions":[{{"name":"s","processes":2,
+                "monitors":[{{"id":"p","emitted":false,"state":{state}{extra}}}]}}]}}"#
+            )
+        };
+        let conj = r#"{"kind":"conjunctive","n":2,"queues":[[],[]],"participating":[true,true],"seen":[1,2],"finished":[false,false],"verdict":{"kind":"pending"}}"#;
+        let disj = r#"{"kind":"disjunctive","seen":[1,2],"live":2,"verdict":{"kind":"pending"}}"#;
+        let read = |text: String| ServiceSnapshot::from_json(text.as_bytes());
+        let folded = read(record(conj, r#","pending":[3,0]"#)).unwrap();
+        let DetectorState::Conjunctive(s) = &folded.sessions[0].pipeline.monitors[0].state else {
+            panic!("a conjunctive record reads as one");
+        };
+        assert_eq!(s.seen, vec![4, 2]);
+        assert!(read(record(disj, r#","pending":[0,0]"#)).is_err());
+        assert!(read(record(disj, r#","slice":{"holds":[],"pending":[0,0]}"#)).is_err());
+        assert!(read(record(conj, r#","pending":[1]"#)).is_err());
+        assert!(read(record(conj, r#","pending":[4294967295,0]"#)).is_err());
     }
 
     #[test]

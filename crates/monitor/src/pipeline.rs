@@ -228,14 +228,10 @@ pub(crate) struct Detector {
     pub monitor: Box<dyn OnlineMonitor + Send>,
     /// Set once the verdict has been reported.
     pub emitted: bool,
-    /// Per process, the deliveries a membership filter kept from the
-    /// detector and [`Detector::admit`] has not yet flushed into it as
-    /// `skip_states`. Empty when the detector is fed unfiltered.
-    pending: Vec<u64>,
 }
 
 impl Detector {
-    fn new(pred: &WirePredicate, body: &Body, states: &[LocalState], filtered: bool) -> Detector {
+    fn new(pred: &WirePredicate, body: &Body, states: &[LocalState]) -> Detector {
         let n = states.len();
         let monitor: Box<dyn OnlineMonitor + Send> = match body {
             Body::Clauses(clauses) => {
@@ -261,24 +257,6 @@ impl Detector {
             pattern: matches!(body, Body::Atoms(_)),
             monitor,
             emitted: false,
-            pending: if filtered { vec![0; n] } else { Vec::new() },
-        }
-    }
-
-    /// Feeds one delivery of process `p` that a membership filter has
-    /// classified. A non-member only advances the detector's state
-    /// counter, and that is deferred: the skips are flushed right
-    /// before the next member, so the detector numbers that state
-    /// exactly as an unfiltered run would.
-    pub fn admit(&mut self, p: usize, member: bool, clock: &VectorClock) {
-        if member {
-            let skipped = std::mem::take(&mut self.pending[p]);
-            if skipped > 0 {
-                self.monitor.skip_states(p, skipped);
-            }
-            self.monitor.observe(p, true, clock);
-        } else {
-            self.pending[p] += 1;
         }
     }
 
@@ -308,19 +286,17 @@ pub(crate) struct Pipeline<P> {
 }
 
 impl<P> Pipeline<P> {
-    /// Builds the buffer and one detector per validated predicate;
-    /// `filtered` says which of them a membership filter fronts.
+    /// Builds the buffer and one detector per validated predicate.
     pub fn open(
         predicates: &[WirePredicate],
         validated: &Validated,
         limits: SessionLimits,
-        filtered: impl Fn(&WirePredicate) -> bool,
     ) -> Pipeline<P> {
         let processes = validated.states.len();
         let detectors = predicates
             .iter()
             .zip(&validated.bodies)
-            .map(|(pred, body)| Detector::new(pred, body, &validated.states, filtered(pred)))
+            .map(|(pred, body)| Detector::new(pred, body, &validated.states))
             .collect();
         let mut pipeline = Pipeline {
             buffer: CausalBuffer::new(processes, limits.buffer_capacity, limits.policy),
@@ -370,8 +346,8 @@ impl<P> Pipeline<P> {
 
     /// Ingests one event: `judge` turns each delivery it releases into
     /// observations of the detectors (skipping the emitted ones is the
-    /// judge's job, so a filter it fronts them with stops counting
-    /// too). Returns the verdicts that settled as a consequence.
+    /// judge's job). Returns the verdicts that settled as a
+    /// consequence.
     pub fn ingest(
         &mut self,
         p: usize,
@@ -479,8 +455,6 @@ impl<P> Pipeline<P> {
                     id: det.id.clone(),
                     emitted: det.emitted,
                     state: det.monitor.export_state(),
-                    pending: det.pending.clone(),
-                    slice: None,
                 })
                 .collect(),
         }
@@ -488,9 +462,7 @@ impl<P> Pipeline<P> {
 
     /// Overwrites a freshly opened pipeline with frozen values. The
     /// error names the part of the snapshot that does not fit the
-    /// predicates it was opened over. A monitor record without pending
-    /// skips (a detector that ran unfiltered when frozen) leaves the
-    /// detector's at zero.
+    /// predicates it was opened over.
     pub fn restore<S>(
         &mut self,
         snap: &PipelineSnapshot<S>,
@@ -527,12 +499,6 @@ impl<P> Pipeline<P> {
             }
             det.monitor = hb_pattern::restore_any(&m.state);
             det.emitted = m.emitted;
-            if !m.pending.is_empty() {
-                if m.pending.len() != det.pending.len() {
-                    return Err("pending skips");
-                }
-                det.pending.clone_from(&m.pending);
-            }
         }
         self.finished.clone_from(&snap.finished);
         self.monitor_finished.clone_from(&snap.monitor_finished);

@@ -980,23 +980,36 @@ mod tests {
         assert_eq!(stats.sessions_active, 0);
     }
 
+    /// A distributed worker's membership filter is the one thing that
+    /// reports `slice.*`: its counters reach the service stats when the
+    /// partition closes. A plain session feeds every delivery to its
+    /// detectors and reports none.
     #[test]
-    fn slice_counters_flow_into_service_stats() {
+    fn worker_slice_counters_flow_into_service_stats() {
         let service = MonitorService::start(MonitorConfig::default());
         let handle = service.handle();
         let (tx, rx) = unbounded();
-        handle.submit(fig2_open("s"), &tx);
+        handle.submit(fig2_open("plain"), &tx);
         assert!(matches!(rx.recv().unwrap(), ServerMsg::Opened { .. }));
-        // First event leaves the clause false — the filter drops it
-        // before the detector; the next two satisfy their clauses.
-        handle.submit(event("s", 0, &[1, 0], &[("x0", 1)]), &tx);
-        handle.submit(event("s", 0, &[2, 0], &[("x0", 2)]), &tx);
-        handle.submit(event("s", 1, &[0, 1], &[("x1", 1)]), &tx);
-        assert_eq!(wait_verdict(&rx, "ef"), WireVerdict::Detected(vec![2, 1]));
+        handle.submit(event("plain", 0, &[1, 0], &[("x0", 1)]), &tx);
+        let mut d = DistDriver::open(&handle, "s", 1);
+        // First event leaves the clause false — the worker ships it
+        // without a bit; the next two satisfy their clauses.
+        d.event(&handle, 0, &[1, 0], &[("x0", 1)]);
+        d.event(&handle, 0, &[2, 0], &[("x0", 2)]);
+        d.event(&handle, 1, &[0, 1], &[("x1", 1)]);
+        d.relay(&handle, 3);
+        let frames = d.close(&handle);
+        assert!(frames.contains(&ServerMsg::Verdict {
+            session: "s".into(),
+            predicate: "ef".into(),
+            verdict: WireVerdict::Detected(vec![2, 1]),
+        }));
         let stats = service.shutdown();
         assert_eq!(stats.slices["slice.ef.events_in"], 3);
         assert_eq!(stats.slices["slice.ef.events_filtered"], 1);
         assert_eq!(stats.to_map()["slice.ef.events_filtered"], 1);
+        assert_eq!(stats.slices.len(), 2, "only the worker reports");
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::persist::SessionSnapshot;
 use crate::pipeline::{validate, Body, Detector, Pipeline};
 use hb_computation::{LocalState, VarId, VarTable};
 use hb_detect::online::OnlineVerdict;
-use hb_slice::SliceFilter;
 use hb_tracefmt::wire::WirePredicate;
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
@@ -88,16 +87,6 @@ pub struct VerdictEvent {
     pub verdict: OnlineVerdict,
 }
 
-/// How one registered predicate judges a delivery; `judges[j]` feeds
-/// the pipeline's detector `j`.
-struct Judge {
-    body: Body,
-    /// Slicing ingest filter fronting the detector (regular predicates
-    /// only): slice-irrelevant events never reach it, their
-    /// observations deferred as batched `skip_states` counter bumps.
-    slice: Option<SliceFilter>,
-}
-
 /// Limits and policy for a session's causal buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionLimits {
@@ -105,13 +94,15 @@ pub struct SessionLimits {
     pub buffer_capacity: usize,
     /// What to do at capacity.
     pub policy: OverflowPolicy,
-    /// Front regular predicates with a slicing ingest filter. On by
-    /// default; the differential tests turn it off for the unsliced
-    /// leg. Filtering is monitor-local and verdict-invariant, so the
-    /// setting never shows on the wire.
+    /// Inert: nothing reads it, and every delivery reaches the
+    /// detectors. It stays only because `benchmark/src/layers.rs`
+    /// still sets it; the benchmark housekeeping of ROADMAP item 1
+    /// deletes it.
+    #[deprecated(note = "sessions no longer slice; the field has no effect")]
     pub slice: bool,
 }
 
+#[allow(deprecated)]
 impl Default for SessionLimits {
     fn default() -> Self {
         SessionLimits {
@@ -130,7 +121,9 @@ pub struct Session {
     predicates: Vec<WirePredicate>,
     /// Current local state per process (advanced on delivery).
     states: Vec<LocalState>,
-    judges: Vec<Judge>,
+    /// What each predicate judges a delivery by; `bodies[j]` feeds the
+    /// pipeline's detector `j`.
+    bodies: Vec<Body>,
     pipeline: Pipeline<Vec<(VarId, i64)>>,
 }
 
@@ -147,29 +140,13 @@ impl Session {
         limits: SessionLimits,
     ) -> Result<Session, SessionError> {
         let validated = validate(processes, var_names, initial, predicates)?;
-        // Regular predicates are detected on the slice: an ingest
-        // filter drops slice-irrelevant events before the detector.
-        let sliced = |pred: &WirePredicate| limits.slice && hb_slice::sliceable(pred.mode);
-        let pipeline = Pipeline::open(predicates, &validated, limits, sliced);
-        let judges = predicates
-            .iter()
-            .zip(validated.bodies)
-            .map(|(pred, body)| Judge {
-                slice: match &body {
-                    Body::Clauses(clauses) if sliced(pred) => {
-                        Some(SliceFilter::from_clauses(clauses, &validated.states))
-                    }
-                    _ => None,
-                },
-                body,
-            })
-            .collect();
+        let pipeline = Pipeline::open(predicates, &validated, limits);
         Ok(Session {
             name: name.to_string(),
             vars: validated.vars,
             predicates: predicates.to_vec(),
             states: validated.states,
-            judges,
+            bodies: validated.bodies,
             pipeline,
         })
     }
@@ -181,14 +158,11 @@ impl Session {
 
     /// Freezes the session's full state for persistence.
     pub fn snapshot(&self) -> SessionSnapshot {
-        let mut pipeline = self.pipeline.snapshot(|set| {
+        let pipeline = self.pipeline.snapshot(|set| {
             set.iter()
                 .map(|(id, v)| (self.vars.name(*id).to_string(), *v))
                 .collect()
         });
-        for (m, judge) in pipeline.monitors.iter_mut().zip(&self.judges) {
-            m.slice = judge.slice.as_ref().map(SliceFilter::export);
-        }
         SessionSnapshot {
             name: self.name.clone(),
             processes: self.states.len(),
@@ -225,27 +199,6 @@ impl Session {
             .iter()
             .map(|v| LocalState::from_values(v.clone()))
             .collect();
-        for (judge, m) in s.judges.iter_mut().zip(&snap.pipeline.monitors) {
-            match (&mut judge.slice, &m.slice) {
-                (Some(f), Some(state)) => {
-                    f.restore(state).map_err(|_| shape("slice state"))?;
-                }
-                (Some(f), None) => {
-                    // Pre-slicing snapshot: start the filter from the
-                    // restored states with fresh counters.
-                    if let Body::Clauses(clauses) = &judge.body {
-                        *f = SliceFilter::from_clauses(clauses, &s.states);
-                    }
-                }
-                (None, Some(_)) => {
-                    // The snapshot was taken with slicing on: the
-                    // detector's state counters owe the filter its
-                    // pending skips, so it cannot run unfiltered.
-                    return Err(shape("slice state without a slicing filter"));
-                }
-                (None, None) => {}
-            }
-        }
         let vars = &s.vars;
         s.pipeline
             .restore(&snap.pipeline, limits, |set| {
@@ -268,28 +221,6 @@ impl Session {
         self.pipeline.delivered()
     }
 
-    /// Per-predicate slice-filter counters not yet pushed to the
-    /// service metrics: `(predicate id, Δevents_in, Δevents_filtered)`
-    /// since the previous call (see [`SliceFilter::take_stats`]).
-    pub fn take_slice_stats(&mut self) -> Vec<(String, u64, u64)> {
-        self.judges
-            .iter_mut()
-            .zip(&self.predicates)
-            .filter_map(|(judge, pred)| {
-                let (events_in, filtered) = judge.slice.as_mut()?.take_stats()?;
-                Some((pred.id.clone(), events_in, filtered))
-            })
-            .collect()
-    }
-
-    /// Restarts the [`Session::take_slice_stats`] watermark at zero: the
-    /// next call reports lifetime totals.
-    pub fn rewind_slice_stats(&mut self) {
-        for filter in self.judges.iter_mut().filter_map(|j| j.slice.as_mut()) {
-            filter.rewind_stats();
-        }
-    }
-
     /// Ingests one event. On success, returns the verdicts that settled
     /// as a consequence (usually none).
     pub fn event(
@@ -307,14 +238,14 @@ impl Session {
                 .ok_or_else(|| SessionError::BadEvent(format!("undeclared variable '{vname}'")))?;
             updates.push((id, value));
         }
-        let (states, judges) = (&mut self.states, &mut self.judges);
+        let (states, bodies) = (&mut self.states, &self.bodies);
         self.pipeline.ingest(p, clock, updates, |detectors, d| {
             for (var, value) in &d.payload {
                 states[d.process].set(*var, *value);
             }
-            for (det, judge) in detectors.iter_mut().zip(judges.iter_mut()) {
+            for (det, body) in detectors.iter_mut().zip(bodies) {
                 if !det.emitted {
-                    observe_delivery(det, judge, states, d);
+                    observe_delivery(det, body, states, d);
                 }
             }
         })
@@ -339,15 +270,15 @@ impl Session {
     }
 }
 
-/// Feeds one delivery to a predicate's slice filter and detector.
-/// `states` must already reflect the delivery's assignments.
+/// Feeds one delivery to a predicate's detector. `states` must
+/// already reflect the delivery's assignments.
 fn observe_delivery(
     det: &mut Detector,
-    judge: &mut Judge,
+    body: &Body,
     states: &[LocalState],
     d: &Delivered<Vec<(VarId, i64)>>,
 ) {
-    let clauses = match &judge.body {
+    let clauses = match body {
         Body::Clauses(clauses) => clauses,
         Body::Atoms(atoms) => {
             // Pattern atoms match the event's assignments — the deltas,
@@ -371,12 +302,7 @@ fn observe_delivery(
     let holds = clauses[d.process]
         .as_ref()
         .is_some_and(|c| c.eval(&states[d.process]));
-    if let Some(filter) = &mut judge.slice {
-        let delta = filter.advance(d.process, d.payload.iter().map(|&(var, _)| var), || holds);
-        det.admit(d.process, delta.is_member(), &d.clock);
-    } else {
-        det.monitor.observe(d.process, holds, &d.clock);
-    }
+    det.monitor.observe(d.process, holds, &d.clock);
 }
 
 #[cfg(test)]
@@ -854,127 +780,65 @@ mod tests {
         assert!(Session::restore(&bad, SessionLimits::default()).is_err());
     }
 
-    fn fig2_session_with(limits: SessionLimits) -> Session {
-        Session::open(
-            "fig2",
-            2,
-            &["x0".to_string(), "x1".to_string()],
-            &[],
-            &[pred(
-                "ef",
-                WireMode::Conjunctive,
-                &[(0, "x0", "=", 2), (1, "x1", "=", 1)],
-            )],
-            limits,
-        )
-        .unwrap()
-    }
-
-    /// Fig. 2(a) with extra clause-false noise events: the slicing
-    /// filter drops them before the detector, yet every step's verdicts
-    /// match the unsliced session exactly, and so do the detector
-    /// snapshots — the states are interchangeable.
+    /// A snapshot the previous build wrote for a session whose filter
+    /// kept clause-false events from its detector: `seen` short by those
+    /// events, the count in the `slice` record's `pending`. It resumes
+    /// exactly where the unfiltered session is: the same verdicts, and
+    /// the same snapshot text at the end.
     #[test]
-    fn sliced_and_unsliced_sessions_emit_identical_verdicts() {
-        let mut sliced = fig2_session_with(SessionLimits::default());
-        let mut plain = fig2_session_with(SessionLimits {
-            slice: false,
-            ..SessionLimits::default()
-        });
-        type Step<'a> = (usize, &'a [u32], &'a [(&'a str, i64)]);
-        let stream: &[Step] = &[
-            (1, &[0, 1], &[("x1", 3)]), // clause false: filtered
-            (1, &[0, 2], &[("x1", 1)]), // true
-            (0, &[1, 0], &[("x0", 1)]), // clause false: filtered
-            (0, &[2, 0], &[]),          // untouched, still false: filtered
-            (0, &[3, 0], &[("x0", 2)]), // true → detection
-        ];
-        for &(p, clock, updates) in stream {
-            let a = sliced.event(p, vc(clock), &set(updates)).unwrap();
-            let b = plain.event(p, vc(clock), &set(updates)).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (va, vb) in a.iter().zip(&b) {
-                assert_eq!(va.predicate, vb.predicate);
-                assert_eq!(va.verdict, vb.verdict);
-            }
-        }
-        let all = sliced.all_verdicts();
-        match &all[0].verdict {
-            OnlineVerdict::Detected(cut) => assert_eq!(cut.counters(), &[3, 2]),
-            other => panic!("expected detection, got {other:?}"),
-        }
-        // Identical detector states: only the slice record differs.
-        let (snap_a, snap_b) = (sliced.snapshot(), plain.snapshot());
-        assert_eq!(
-            snap_a.pipeline.monitors[0].state,
-            snap_b.pipeline.monitors[0].state
-        );
-        assert!(snap_a.pipeline.monitors[0].slice.is_some());
-        assert!(snap_b.pipeline.monitors[0].slice.is_none());
-    }
+    fn an_old_snapshot_with_pending_skips_resumes_exactly() {
+        use crate::persist::ServiceSnapshot;
+        use hb_detect::online::DetectorState;
 
-    #[test]
-    fn slice_stats_are_watermarked_deltas() {
-        let mut s = fig2_session_with(SessionLimits::default());
-        assert!(s.take_slice_stats().is_empty(), "nothing observed yet");
-        s.event(1, vc(&[0, 1]), &set(&[("x1", 3)])).unwrap(); // filtered
-        s.event(1, vc(&[0, 2]), &set(&[("x1", 1)])).unwrap(); // member
-        assert_eq!(s.take_slice_stats(), vec![("ef".to_string(), 2, 1)]);
-        assert!(s.take_slice_stats().is_empty(), "watermark advanced");
-        s.event(0, vc(&[1, 0]), &set(&[("x0", 1)])).unwrap(); // filtered
-        assert_eq!(s.take_slice_stats(), vec![("ef".to_string(), 1, 1)]);
-    }
-
-    #[test]
-    fn sliced_snapshot_round_trips_with_pending_skips() {
-        let mut original = fig2_session_with(SessionLimits::default());
-        // Two filtered events leave pending skip counts owed to the
-        // detector; freeze in exactly that state.
+        let mut original = fig2_session();
+        // Three clause-false events: the old filter kept them all.
         original.event(1, vc(&[0, 1]), &set(&[("x1", 3)])).unwrap();
         original.event(0, vc(&[1, 0]), &set(&[("x0", 1)])).unwrap();
-        let snap = original.snapshot();
-        assert!(snap.pipeline.monitors[0].slice.is_some());
-
-        let mut restored = Session::restore(&snap, SessionLimits::default()).unwrap();
-        assert_eq!(restored.snapshot(), snap, "snapshot is stable");
+        original.event(0, vc(&[2, 0]), &set(&[])).unwrap();
+        let mut old = original.snapshot();
+        let DetectorState::Conjunctive(state) = &mut old.pipeline.monitors[0].state else {
+            panic!("a conjunctive detector");
+        };
+        assert_eq!(state.seen, vec![2, 1]);
+        state.seen = vec![0, 0];
+        let text = ServiceSnapshot {
+            sessions: vec![old],
+            ..ServiceSnapshot::default()
+        }
+        .to_json();
+        let end = r#""verdict":{"kind":"pending"}}"#;
+        let old_text = text.replacen(
+            end,
+            &format!(
+                r#"{end},"slice":{{"holds":[false,false],"pending":[2,1],"events_in":3,"events_filtered":3}}"#
+            ),
+            1,
+        );
+        assert_ne!(old_text, text);
+        let snap = ServiceSnapshot::from_json(old_text.as_bytes()).unwrap();
+        let mut restored = Session::restore(&snap.sessions[0], SessionLimits::default()).unwrap();
+        assert_eq!(restored.snapshot(), original.snapshot());
 
         for s in [&mut original, &mut restored] {
             assert!(s
                 .event(1, vc(&[0, 2]), &set(&[("x1", 1)]))
                 .unwrap()
                 .is_empty());
-            let v = s.event(0, vc(&[2, 0]), &set(&[("x0", 2)])).unwrap();
+            let v = s.event(0, vc(&[3, 0]), &set(&[("x0", 2)])).unwrap();
             assert_eq!(v.len(), 1);
             match &v[0].verdict {
-                OnlineVerdict::Detected(cut) => assert_eq!(cut.counters(), &[2, 2]),
+                OnlineVerdict::Detected(cut) => assert_eq!(cut.counters(), &[3, 2]),
                 other => panic!("expected detection, got {other:?}"),
             }
         }
-        assert_eq!(original.snapshot(), restored.snapshot());
-    }
-
-    #[test]
-    fn sliced_snapshot_requires_a_slicing_filter_to_restore() {
-        let mut s = fig2_session_with(SessionLimits::default());
-        s.event(0, vc(&[1, 0]), &set(&[("x0", 1)])).unwrap(); // filtered: skip pending
-        let snap = s.snapshot();
-        // The detector's counters owe the pending skip to the filter —
-        // restoring without one would diverge from the unsliced stream.
-        let err = Session::restore(
-            &snap,
-            SessionLimits {
-                slice: false,
-                ..SessionLimits::default()
-            },
-        );
-        assert!(err.is_err());
-        // A pre-slicing snapshot (no slice record) restores fine into a
-        // slicing session: the filter is rebuilt from the states.
-        let mut old = snap;
-        old.pipeline.monitors[0].slice = None;
-        old.pipeline.monitors[0].pending.clear();
-        let restored = Session::restore(&old, SessionLimits::default());
-        assert!(restored.is_ok());
+        let json = |s: &Session| {
+            ServiceSnapshot {
+                sessions: vec![s.snapshot()],
+                ..ServiceSnapshot::default()
+            }
+            .to_json()
+        };
+        assert_eq!(json(&restored), json(&original));
     }
 
     #[test]

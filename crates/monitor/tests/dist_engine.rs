@@ -293,13 +293,13 @@ fn run_differential(
             }
         }
     }
-    // Same membership bits in, same detectors out: states, emitted
-    // flags and deferred skips are interchangeable — once the
+    // Same membership bits in, same detectors out: states and emitted
+    // flags are interchangeable — once the
     // aggregator has caught up (a worker sitting on events whose
     // predecessor was lost stalls the sequence stream until close).
     if partition.agg.reordering() == 0 {
         let detectors = |monitors: &[MonitorSnapshot]| -> Vec<_> {
-            let core = |m: &MonitorSnapshot| (m.emitted, m.state.clone(), m.pending.clone());
+            let core = |m: &MonitorSnapshot| (m.emitted, m.state.clone());
             monitors.iter().map(core).collect()
         };
         assert_eq!(

@@ -1,6 +1,6 @@
 //! `ServiceSnapshot::to_json` writes the snapshot without a `Value`
 //! tree; the tree stays the definition of the format. For members
-//! driven by random streams — plain sessions sliced and unsliced, with
+//! driven by random streams — plain sessions with
 //! conjunctive, disjunctive and pattern predicates and events held for
 //! their causal predecessors, distributed workers, and aggregators with
 //! held, parked and refused updates — the direct text must be byte for
@@ -122,11 +122,11 @@ impl Clocks {
     }
 }
 
-fn session(name: &str, slice: bool, steps: &[Step]) -> Session {
+fn session(name: &str, steps: &[Step]) -> Session {
     let limits = SessionLimits {
         buffer_capacity: 16,
         policy: OverflowPolicy::Reject,
-        slice,
+        ..SessionLimits::default()
     };
     let mut s = Session::open(name, N, &vars(), &[], &predicates(), limits).expect("opens");
     let mut clocks = Clocks([0; N]);
@@ -197,17 +197,13 @@ proptest! {
     #[test]
     fn direct_snapshot_text_is_the_value_tree_text(
         a in prop::collection::vec(step(), 0..40),
-        b in prop::collection::vec(step(), 0..40),
         w in prop::collection::vec(step(), 0..20),
         g in prop::collection::vec(step(), 0..20),
     ) {
         let worker = worker(&w);
         let aggregator = aggregator(&g);
         let snap = ServiceSnapshot {
-            sessions: vec![
-                session("sliced", true, &a).snapshot(),
-                session("un\"sliced", false, &b).snapshot(),
-            ],
+            sessions: vec![session("pl\"ain", &a).snapshot()],
             workers: vec![WorkerSlotSnapshot {
                 name: "d#w0".into(),
                 origin: "d".into(),
@@ -247,9 +243,8 @@ fn the_streams_reach_held_parked_and_refused_members() {
             value: (i % 4) as i64,
         })
         .collect();
-    let snap = session("s", true, &steps).snapshot();
+    let snap = session("s", &steps).snapshot();
     assert!(!snap.pipeline.held.is_empty(), "no held event");
-    assert!(snap.pipeline.monitors.iter().any(|m| m.slice.is_some()));
     assert!(
         !worker(&steps).snapshot().held.is_empty(),
         "no held worker event"

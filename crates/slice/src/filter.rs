@@ -1,16 +1,13 @@
-//! The O(1)-per-event membership filter fronting a conjunctive
-//! detector inside a monitor session.
+//! The O(1)-per-event membership filter of a distributed session's
+//! worker.
 
 use crate::{clause_vars, SkipReason, SliceDelta};
 use hb_computation::{LocalState, VarId};
 use hb_predicates::LocalExpr;
 
-/// Decides, per delivered event, whether the event is a slice member
-/// that must reach the detector. Every non-member is an observation
-/// the detector still has to absorb as a state-counter advance; the
-/// caller counts those per process and flushes them before the next
-/// member (see the crate docs for why that preserves verdicts
-/// byte-for-byte).
+/// Decides, per delivered event, whether the event is a slice member:
+/// the membership bit the detector observes as the event's clause
+/// truth (see the crate docs).
 ///
 /// The filter holds no clocks and computes no cuts: membership of an
 /// event for a conjunctive predicate depends only on whether its
@@ -32,7 +29,7 @@ pub struct SliceFilter {
 }
 
 /// Exportable dynamic state of a [`SliceFilter`], persisted through
-/// WAL snapshots next to the detector state it fronts.
+/// WAL snapshots of the worker that owns it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SliceState {
     /// Cached clause truth per process.
@@ -44,7 +41,7 @@ pub struct SliceState {
 }
 
 impl SliceFilter {
-    /// Builds a filter for a per-process clause table (the session's
+    /// Builds a filter for a per-process clause table (the open's
     /// folded conjunctive clauses) and the processes' initial states.
     pub fn from_clauses(clauses: &[Option<LocalExpr>], initial: &[LocalState]) -> SliceFilter {
         assert_eq!(clauses.len(), initial.len());
@@ -71,7 +68,7 @@ impl SliceFilter {
     /// `touched` iterates the variables the event assigns; `eval` is
     /// called at most once, only when the clause truth can have
     /// changed, and must evaluate the clause on the **post**-state
-    /// (the session applies the payload before filtering).
+    /// (the worker applies the payload before filtering).
     pub fn advance(
         &mut self,
         p: usize,
@@ -89,7 +86,7 @@ impl SliceFilter {
             return self.skip(SkipReason::Untouched);
         }
         if self.holds[p] {
-            SliceDelta::Enter { j_cut: None }
+            SliceDelta::Enter
         } else {
             self.skip(SkipReason::ClauseFalse)
         }
@@ -171,7 +168,7 @@ mod tests {
     fn participating_true_states_are_members() {
         let (mut f, x, _) = setup();
         let d = f.advance(0, [x], || true);
-        assert_eq!(d, SliceDelta::Enter { j_cut: None });
+        assert_eq!(d, SliceDelta::Enter);
         assert_eq!((f.events_in(), f.events_filtered()), (1, 0));
     }
 
@@ -204,7 +201,7 @@ mod tests {
             }
         );
         // Flip the cache to true; untouched events are now members —
-        // the unsliced detector would push candidates for them.
+        // the detector pushes candidates for them.
         assert!(f.advance(0, [x], || true).is_member());
         assert!(f
             .advance(0, [y], || panic!("eval on untouched clause"))

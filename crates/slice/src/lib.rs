@@ -1,51 +1,37 @@
-//! Online computation slicing for regular predicates.
+//! Slice membership for regular predicates: the per-event bits a
+//! distributed session's workers ship to its aggregator.
 //!
 //! The *slice* of a computation with respect to a predicate `p`
 //! (Mittal–Garg, *Techniques and Applications of Computation Slicing*)
 //! is the smallest sublattice of the cut lattice containing every
 //! consistent cut that satisfies `p`. For **regular** predicates —
 //! closed under both meet and join, e.g. conjunctions of local clauses
-//! — the slice is itself a distributive lattice and, by Birkhoff's
-//! theorem, is fully described by `O(|E|)` join-irreducible cuts:
+//! — the slice is itself a distributive lattice, described by one
+//! join-irreducible cut `J_p(e)` per event: the least satisfying cut
+//! containing `e`. `crates/slicer` computes those cuts offline from a
+//! complete [`hb_computation::Computation`].
 //!
-//! - `I_p`, the least satisfying cut;
-//! - `F_p`, the greatest satisfying cut;
-//! - `J_p(e)` for each event `e`, the least satisfying cut containing
-//!   `e` (absent when no satisfying cut contains `e`).
+//! Online, a conjunctive detector needs less than the cuts: only
+//! *membership*, whether an event's post-state satisfies its process's
+//! clause. A clause-false event collapses forward onto the process's
+//! next clause-true event (`J_p(e) = J_p(succ)`), so it is never a
+//! slice node of its own. [`SliceFilter`] decides membership in O(1)
+//! per event, reusing a cached clause value when the event assigns
+//! none of the clause's variables. It is the whole of a distributed
+//! session's worker (Chauhan–Garg's distributed abstraction): the
+//! worker ships each event's bits to the aggregator.
 //!
-//! A cut `G` is in the slice iff `I_p ⊆ G ⊆ F_p` and `J_p(e) ⊆ G` for
-//! every frontier event `e` of `G`. `crates/slicer` computes this data
-//! offline from a complete [`hb_computation::Computation`]; this crate
-//! maintains it **online**, event by event, in the style of
-//! Chauhan–Garg's distributed abstraction algorithm:
-//!
-//! - [`OnlineSlicer`] is the reference implementation. Its
-//!   [`OnlineSlicer::advance`] consumes one wire
-//!   [`EventFrame`](hb_tracefmt::wire::EventFrame) (delivered in any
-//!   order consistent with causality) and reports a [`SliceDelta`]:
-//!   whether the event enters the slice as a new join-irreducible node
-//!   — and, when already determined, the induced closure edge, i.e.
-//!   its `J_p` cut — or is provably irrelevant (it collapses forward
-//!   onto the process's next slice member: `J_p(e) = J_p(succ)`).
-//!   `I_p`/`F_p`/`J_p` walks run on demand over the observed prefix.
-//! - [`SliceFilter`] is the O(1)-per-event production distillation
-//!   used by the monitor's ingest path: it decides only *membership*
-//!   — which states a fronted detector may skip.
-//!
-//! # Why filtering preserves verdicts exactly
+//! # Why the bits are the detector's whole input
 //!
 //! The conjunctive detector (Garg–Waldecker queues) does two things
 //! per observation: it advances the per-process state counter, and —
 //! only for participating, clause-true states — pushes a candidate
-//! `(state, clock)` and rechecks the queue heads. A skipped
-//! observation therefore influences the detector *only* through the
-//! counter. The session counts the events [`SliceFilter`] skips per
-//! process and flushes them with
-//! `OnlineMonitor::skip_states` immediately before the next admitted
-//! event of that process, so every candidate is pushed with exactly
-//! the `(state, clock)` pair the unsliced run would have used, every
-//! recheck fires at the same event, and the emitted verdict frames are
-//! byte-identical.
+//! `(state, clock)` and rechecks the queue heads. A membership bit is
+//! therefore exactly the `holds` argument of
+//! `OnlineMonitor::observe`: the aggregator feeds every delivered
+//! update to its detector as `observe(p, bit, clock)` and ends in the
+//! state a plain session, which evaluates the clause itself, reaches
+//! on the same events.
 //!
 //! Membership here is deliberately *detector-level*: events of
 //! non-participating processes are genuine slice nodes in the Birkhoff
@@ -54,10 +40,8 @@
 //! [`SkipReason::NonParticipating`] to keep the two notions separate.
 
 mod filter;
-mod online;
 
 pub use filter::{SliceFilter, SliceState};
-pub use online::OnlineSlicer;
 
 use hb_computation::VarId;
 use hb_predicates::LocalExpr;
@@ -67,16 +51,7 @@ use hb_tracefmt::wire::WireMode;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SliceDelta {
     /// The event enters the slice as a join-irreducible node.
-    ///
-    /// `j_cut` is the closure edge it induces — the least satisfying
-    /// cut containing the event, as counters — when that cut is
-    /// already determined by the observed prefix. `None` means the
-    /// walk ran past the observed frontier ([`OnlineSlicer`]) or the
-    /// producer does not compute cuts at all ([`SliceFilter`]).
-    Enter {
-        /// `J_p(e)` if already determined, else `None`.
-        j_cut: Option<Vec<u32>>,
-    },
+    Enter,
     /// The event is provably irrelevant to detection: it is never a
     /// slice node of its own (`J_p(e)` equals the `J_p` of the
     /// process's next admitted event), or it belongs to a process the
@@ -88,9 +63,10 @@ pub enum SliceDelta {
 }
 
 impl SliceDelta {
-    /// True iff the event must reach the underlying detector.
+    /// True iff the event is a slice member: the detector observes
+    /// it with its clause holding.
     pub fn is_member(&self) -> bool {
-        matches!(self, SliceDelta::Enter { .. })
+        matches!(self, SliceDelta::Enter)
     }
 }
 
@@ -106,15 +82,14 @@ pub enum SkipReason {
     ClauseFalse,
 }
 
-/// True iff the monitor may front this predicate mode with a
-/// [`SliceFilter`].
+/// True iff membership bits decide this predicate mode.
 ///
 /// This is the structural counterpart of the semantic test
 /// `hb_predicates::classify::is_regular_on`: conjunctions of local
 /// clauses are regular by construction (Mittal–Garg), which the
 /// proptests in this crate audit against the lattice oracle on random
 /// computations. Disjunctive and pattern predicates are not meet- and
-/// join-closed in general, so sessions fall back to unsliced ingest.
+/// join-closed in general, so they are never distributed.
 pub fn sliceable(mode: WireMode) -> bool {
     matches!(mode, WireMode::Conjunctive)
 }
