@@ -21,7 +21,7 @@
 //! 10x sweep) near 1.0 confirms the pipeline stays O(1) per event.
 
 use hb_bench::report::{BenchReport, BenchRun};
-use hb_dist::{owner, OverflowPolicy};
+use hb_dist::owner;
 use hb_monitor::{DistAggregator, DistWorker, Session, SessionLimits};
 use hb_sim::{random_computation, random_linearization, RandomSpec};
 use hb_tracefmt::wire::{WireClause, WireMode, WirePredicate};
@@ -110,16 +110,8 @@ fn run_dist(stream: &Stream, k: usize) -> (f64, u64) {
     let mut workers: Vec<DistWorker> = (0..k)
         .map(|i| DistWorker::open(i, k, PROCESSES, &vars, &[], &preds).expect("open worker"))
         .collect();
-    let mut agg = DistAggregator::open(
-        k,
-        PROCESSES,
-        &vars,
-        &[],
-        &preds,
-        1 << 20,
-        OverflowPolicy::Reject,
-    )
-    .expect("open aggregator");
+    let mut agg =
+        DistAggregator::open(k, PROCESSES, &vars, &[], &preds, 1 << 20).expect("open aggregator");
     let _ = agg.take_initial_verdicts();
     let mut updates = 0u64;
     let start = Instant::now();

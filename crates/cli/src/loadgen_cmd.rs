@@ -588,9 +588,7 @@ fn compare_cmd(spec: &LoadSpec, json: bool) -> Result<String, String> {
         let r = run_load(&gw_addr, &plans, spec)?;
         shutdown_server(&gw_addr, 0)?;
         gw_thread.join().map_err(|_| "gateway serve panicked")?;
-        // Tear the gateway down *before* stopping the backends: its pool
-        // connections must close or the monitors' accept loops would
-        // block joining the connection threads that serve them.
+        // The gateway goes first, so no pool connection outlives it.
         let gw = std::sync::Arc::try_unwrap(gw).map_err(|_| "gateway still referenced")?;
         let _ = gw.shutdown();
         a.stop()?;

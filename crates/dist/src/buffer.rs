@@ -17,9 +17,9 @@
 //!
 //! Undeliverable events are **held**; each delivery re-examines held
 //! events until a fixpoint, so one arrival can release a cascade. The
-//! hold space is bounded: at capacity, ingest either rejects the event
-//! (explicit backpressure — the transport should slow the producer) or
-//! drops it, per [`OverflowPolicy`]. An event whose clock shows it was
+//! hold space is bounded: at capacity, ingest rejects the event
+//! (explicit backpressure — the transport should slow the producer).
+//! Nothing is ever dropped silently. An event whose clock shows it was
 //! already delivered (`V[p] <= delivered[p]`), or whose `(p, V[p])` is
 //! already held, is a **duplicate** and is rejected outright, making
 //! ingestion idempotent under at-least-once transports.
@@ -28,17 +28,17 @@ use hb_vclock::VectorClock;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// What to do with a new undeliverable event when the hold space is full.
+/// Inert: a full hold space always refuses with
+/// [`IngestError::Overflow`], and nothing reads this. It stays only
+/// because `benchmark/src/layers.rs` still passes one to
+/// [`CausalBuffer::new`]; the benchmark housekeeping of ROADMAP item 1
+/// deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
-    /// Refuse the event with [`IngestError::Overflow`]; the caller
-    /// should retry after draining deliveries (backpressure). Lossless.
+    /// Refuse the event; the caller should retry after draining
+    /// deliveries (backpressure). Lossless.
     #[default]
     Reject,
-    /// Drop the newest event with [`IngestError::Dropped`]. Lossy: a
-    /// dropped event's causal successors can never be delivered, so only
-    /// use this when monitoring best-effort over an unreliable feed.
-    DropNewest,
 }
 
 /// Why an event was not accepted.
@@ -52,14 +52,11 @@ pub enum IngestError {
         /// The event's own component `V[p]`.
         seq: u32,
     },
-    /// The hold space is full and the policy is [`OverflowPolicy::Reject`].
+    /// The hold space is full; retry after draining deliveries.
     Overflow {
         /// The configured capacity.
         capacity: usize,
     },
-    /// The hold space was full and the event was dropped
-    /// ([`OverflowPolicy::DropNewest`]).
-    Dropped,
     /// `process` is out of range for this buffer.
     BadProcess {
         /// The offending index.
@@ -88,7 +85,6 @@ impl fmt::Display for IngestError {
                     "hold buffer full ({capacity} events); retry after draining"
                 )
             }
-            IngestError::Dropped => write!(f, "hold buffer full; event dropped"),
             IngestError::BadProcess { process, width } => {
                 write!(f, "process {process} out of range (width {width})")
             }
@@ -133,20 +129,19 @@ pub struct CausalBuffer<T> {
     /// Held events per source process (drives finish-process deferral).
     held_by_source: Vec<u32>,
     capacity: usize,
-    policy: OverflowPolicy,
     /// Most events ever held at once.
     high_water: usize,
 }
 
 impl<T> CausalBuffer<T> {
     /// A buffer for `n` processes holding at most `capacity` events.
-    pub fn new(n: usize, capacity: usize, policy: OverflowPolicy) -> Self {
+    /// `_policy` is inert ([`OverflowPolicy`]).
+    pub fn new(n: usize, capacity: usize, _policy: OverflowPolicy) -> Self {
         CausalBuffer {
             delivered: vec![0; n],
             held: VecDeque::new(),
             held_by_source: vec![0; n],
             capacity,
-            policy,
             high_water: 0,
         }
     }
@@ -163,14 +158,13 @@ impl<T> CausalBuffer<T> {
         delivered: Vec<u32>,
         held: Vec<(usize, VectorClock, T)>,
         capacity: usize,
-        policy: OverflowPolicy,
+        _policy: OverflowPolicy,
     ) -> Self {
         let mut b = CausalBuffer {
             held: VecDeque::with_capacity(held.len()),
             held_by_source: vec![0; delivered.len()],
             delivered,
             capacity,
-            policy,
             high_water: 0,
         };
         for (process, clock, payload) in held {
@@ -269,14 +263,9 @@ impl<T> CausalBuffer<T> {
         }
         // Hold, within bounds.
         if self.held.len() >= self.capacity {
-            match self.policy {
-                OverflowPolicy::Reject => {
-                    return Err(IngestError::Overflow {
-                        capacity: self.capacity,
-                    })
-                }
-                OverflowPolicy::DropNewest => return Err(IngestError::Dropped),
-            }
+            return Err(IngestError::Overflow {
+                capacity: self.capacity,
+            });
         }
         self.held.push_back(Held {
             process,
@@ -439,17 +428,6 @@ mod tests {
         // …and the rejected event can be retried.
         let d = b.ingest(1, vc(&[1, 3]), 0).unwrap();
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn drop_newest_policy_refuses_without_holding() {
-        let mut b: CausalBuffer<u32> = CausalBuffer::new(2, 1, OverflowPolicy::DropNewest);
-        assert!(b.ingest(1, vc(&[1, 1]), 0).unwrap().is_empty());
-        assert_eq!(
-            b.ingest(1, vc(&[1, 2]), 0).unwrap_err(),
-            IngestError::Dropped
-        );
-        assert_eq!(b.held(), 1);
     }
 
     #[test]

@@ -54,9 +54,9 @@ use crate::rendezvous;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use hb_dist::{owner, worker_session};
 use hb_tracefmt::wire::{self, ClientMsg, EventFrame, ServerMsg, SliceUpdateBody, WireDistRole};
+use hb_tracefmt::TraceError;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::BufWriter;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -180,6 +180,8 @@ struct Inner {
     stop: AtomicBool,
     /// Monotonic clock base for `Health::Down::next_probe_ms`.
     epoch: Instant,
+    /// The writers of the client connections `serve` stopped serving.
+    writers: Mutex<Vec<dial::Writers>>,
 }
 
 /// The running gateway: routing state plus the keeper thread.
@@ -237,6 +239,7 @@ impl GatewayService {
             keeper_tx,
             stop: AtomicBool::new(false),
             epoch: Instant::now(),
+            writers: Mutex::new(Vec::new()),
         });
         let keeper = {
             let inner = Arc::clone(&inner);
@@ -264,23 +267,20 @@ impl GatewayService {
     }
 
     /// Serves the wire protocol until a client sends `shutdown`, on
-    /// the accept loop `hb_monitor::service::serve` also runs: one
-    /// reader thread per connection, one writer thread draining its
-    /// sink.
+    /// the connection driver `hb_monitor::service::serve` also runs.
+    /// Returns with the connections' writers still running, for
+    /// [`GatewayService::shutdown`] to join.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
-        let inner = Arc::clone(&self.inner);
-        dial::accept_loop(listener, move |stream| {
-            let shutdown_requested = serve_connection(stream, &inner);
-            if shutdown_requested {
-                inner.stop.store(true, Relaxed);
-            }
-            shutdown_requested
-        })
+        let writers = dial::accept_loop(listener, Clients(Arc::clone(&self.inner)))?;
+        self.inner.writers.lock().push(writers);
+        Ok(())
     }
 
-    /// Stops the keeper and tears down every backend connection.
-    /// Backends themselves keep running — stopping them is the
-    /// operator's call, not the gateway's.
+    /// Stops the keeper, tears down every backend connection, and
+    /// forgets the routed sessions, whose sinks held their clients'
+    /// writers; then joins those writers. The sessions live on at the
+    /// backends — stopping those is the operator's call, not the
+    /// gateway's.
     pub fn shutdown(mut self) -> GatewaySnapshot {
         self.inner.stop.store(true, Relaxed);
         let _ = self.inner.keeper_tx.send(KeeperMsg::Stop);
@@ -289,6 +289,11 @@ impl GatewayService {
         }
         for b in 0..self.inner.backends.len() {
             kill_conns(&self.inner, b);
+        }
+        self.inner.sessions.lock().clear();
+        let writers = std::mem::take(&mut *self.inner.writers.lock());
+        for w in writers {
+            w.join();
         }
         self.inner.metrics.snapshot()
     }
@@ -1156,51 +1161,35 @@ fn drain_backend(inner: &Arc<Inner>, addr: &str) -> Result<u64, String> {
 
 // ---- the client-facing transport ------------------------------------------
 
-/// Handles one client connection; returns whether the client asked the
-/// gateway to shut down.
-fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) -> bool {
-    inner.metrics.clients_total.fetch_add(1, Relaxed);
-    inner.metrics.clients_connected.fetch_add(1, Relaxed);
-    let peer_write = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            inner.metrics.clients_connected.fetch_sub(1, Relaxed);
-            return false;
+/// The gateway's side of the connection driver: what a client's frame
+/// does, and the `clients_*` gauges.
+struct Clients(Arc<Inner>);
+
+impl dial::Service for Clients {
+    fn frame(&self, body: Vec<u8>, sink: &Sender<ServerMsg>) -> Result<bool, TraceError> {
+        let msg: ClientMsg = wire::decode_body(&body)?;
+        let shutdown = matches!(msg, ClientMsg::Shutdown);
+        handle_client_msg(&self.0, msg, sink);
+        if shutdown {
+            self.0.stop.store(true, Relaxed);
         }
-    };
-    let (sink_tx, sink_rx) = unbounded::<ServerMsg>();
-    let writer = std::thread::spawn(move || {
-        let mut w = BufWriter::new(peer_write);
-        for msg in sink_rx.iter() {
-            let is_bye = matches!(msg, ServerMsg::Bye);
-            if wire::write_frame(&mut w, &msg).is_err() || is_bye {
-                return;
-            }
-        }
-    });
-    let mut r = std::io::BufReader::new(stream);
-    let mut shutdown = false;
-    loop {
-        match wire::read_frame::<_, ClientMsg>(&mut r) {
-            Ok(Some(msg)) => {
-                let is_shutdown = matches!(msg, ClientMsg::Shutdown);
-                handle_client_msg(inner, msg, &sink_tx);
-                if is_shutdown {
-                    shutdown = true;
-                    break;
-                }
-            }
-            Ok(None) => break, // clean disconnect; routed sessions stay
-            Err(e) => {
-                client_error(inner, &sink_tx, None, None, e.to_string());
-                break;
-            }
+        Ok(shutdown)
+    }
+
+    fn refused(&self) {
+        self.0.metrics.protocol_errors.fetch_add(1, Relaxed);
+    }
+
+    /// A disconnect leaves the client's routed sessions in place.
+    fn connected(&self, open: bool) {
+        let m = &self.0.metrics;
+        if open {
+            m.clients_total.fetch_add(1, Relaxed);
+            m.clients_connected.fetch_add(1, Relaxed);
+        } else {
+            m.clients_connected.fetch_sub(1, Relaxed);
         }
     }
-    drop(sink_tx);
-    let _ = writer.join();
-    inner.metrics.clients_connected.fetch_sub(1, Relaxed);
-    shutdown
 }
 
 fn client_error(

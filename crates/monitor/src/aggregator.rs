@@ -37,7 +37,7 @@
 //! with [`SessionError::MembershipLost`] — never judged by bits that
 //! may be wrong.
 
-use crate::buffer::{IngestError, OverflowPolicy};
+use crate::buffer::IngestError;
 use crate::persist::PipelineSnapshot;
 use crate::pipeline::{conjunctive_only, validate, Pipeline};
 use crate::session::{SessionError, SessionLimits, VerdictEvent};
@@ -110,7 +110,6 @@ impl DistAggregator {
         initial: &[BTreeMap<String, i64>],
         predicates: &[WirePredicate],
         buffer_capacity: usize,
-        policy: OverflowPolicy,
     ) -> Result<DistAggregator, SessionError> {
         if k == 0 {
             return Err(SessionError::BadOpen("zero workers".into()));
@@ -119,7 +118,6 @@ impl DistAggregator {
         conjunctive_only(predicates)?;
         let limits = SessionLimits {
             buffer_capacity,
-            policy,
             ..SessionLimits::default()
         };
         Ok(DistAggregator {
@@ -233,9 +231,7 @@ impl DistAggregator {
             });
         let no_space = matches!(
             result,
-            Err(SessionError::Ingest(
-                IngestError::Overflow { .. } | IngestError::Dropped
-            ))
+            Err(SessionError::Ingest(IngestError::Overflow { .. }))
         );
         if let (true, Some(key)) = (no_space, key) {
             if self.kept.len() < self.limits.buffer_capacity {
@@ -299,7 +295,6 @@ impl DistAggregator {
         snap: &AggregatorSnapshot,
         processes: usize,
         buffer_capacity: usize,
-        policy: OverflowPolicy,
     ) -> Result<DistAggregator, SessionError> {
         let shape =
             |what: &str| SessionError::BadOpen(format!("aggregator snapshot: inconsistent {what}"));
@@ -310,7 +305,6 @@ impl DistAggregator {
             &[],
             &snap.predicates,
             buffer_capacity,
-            policy,
         )?;
         a.pipeline
             .restore(&snap.pipeline, a.limits, |holds| Ok(holds.clone()))
@@ -358,7 +352,6 @@ mod tests {
             &[],
             &[pred("ef", &[(0, "x0", "=", 2), (1, "x1", "=", 1)])],
             4096,
-            OverflowPolicy::Reject,
         )
         .unwrap()
     }
@@ -506,7 +499,6 @@ mod tests {
             ],
             &[pred("now", &[(0, "x", "=", 1), (1, "x", "=", 1)])],
             4096,
-            OverflowPolicy::Reject,
         )
         .unwrap();
         let v = a.take_initial_verdicts();
@@ -525,7 +517,7 @@ mod tests {
         a.update(2, obs(0, &[2, 0], &[0])); // parked in reorder
         a.update(3, obs(1, &[2, 2], &[0])); // will be held once seq 2 lands
         let snap = a.snapshot();
-        let mut r = DistAggregator::restore(&snap, 2, 4096, OverflowPolicy::Reject).unwrap();
+        let mut r = DistAggregator::restore(&snap, 2, 4096).unwrap();
         assert_eq!(r.snapshot(), snap, "snapshot is stable");
         for x in [&mut a, &mut r] {
             let steps = x.update(1, obs(0, &[1, 0], &[]));
@@ -540,17 +532,17 @@ mod tests {
         let good = a.snapshot();
         let mut bad = good.clone();
         bad.pipeline.frontier = vec![0];
-        assert!(DistAggregator::restore(&bad, 2, 4096, OverflowPolicy::Reject).is_err());
+        assert!(DistAggregator::restore(&bad, 2, 4096).is_err());
         let mut bad = good.clone();
         bad.pipeline.monitors.clear();
-        assert!(DistAggregator::restore(&bad, 2, 4096, OverflowPolicy::Reject).is_err());
+        assert!(DistAggregator::restore(&bad, 2, 4096).is_err());
         let mut bad = good;
         bad.pipeline.held.push(crate::persist::HeldSnapshot {
             process: 7,
             clock: vec![1, 1],
             payload: vec![],
         });
-        assert!(DistAggregator::restore(&bad, 2, 4096, OverflowPolicy::Reject).is_err());
+        assert!(DistAggregator::restore(&bad, 2, 4096).is_err());
     }
 
     /// A snapshot the previous build wrote for an aggregator, whose
@@ -589,9 +581,7 @@ mod tests {
         let old_text = text.replacen(end, &format!(r#"{end},"pending":[2,1]"#), 1);
         assert_ne!(old_text, text);
         let read = ServiceSnapshot::from_json(old_text.as_bytes()).unwrap();
-        let mut restored =
-            DistAggregator::restore(&read.aggregators[0].snap, 2, 4096, OverflowPolicy::Reject)
-                .unwrap();
+        let mut restored = DistAggregator::restore(&read.aggregators[0].snap, 2, 4096).unwrap();
         assert_eq!(restored.snapshot(), original.snapshot());
 
         for a in [&mut original, &mut restored] {
@@ -615,7 +605,6 @@ mod tests {
             &[],
             &[pred("ef", &[(0, "x", "=", 1), (1, "x", "=", 1)])],
             capacity,
-            OverflowPolicy::Reject,
         )
         .unwrap()
     }
@@ -635,7 +624,7 @@ mod tests {
         assert_eq!(a.update(1, obs(0, &[2, 0], &[0])), vec![OVERFLOW]);
         let snap = a.snapshot();
         assert_eq!(snap.kept, vec![(0, 2, vec![0])]);
-        let mut a = DistAggregator::restore(&snap, 2, 1, OverflowPolicy::Reject).unwrap();
+        let mut a = DistAggregator::restore(&snap, 2, 1).unwrap();
         assert_eq!(a.snapshot(), snap, "snapshot is stable");
         assert!(a.update(2, obs(0, &[1, 0], &[])).is_empty());
         // The retry, as the worker ships it: a position replay.
@@ -663,7 +652,7 @@ mod tests {
         assert_eq!(a.update(3, obs(0, &[1, 0], &[])), lost);
         let snap = a.snapshot();
         assert_eq!(snap.lost, vec![0]);
-        let mut a = DistAggregator::restore(&snap, 2, 1, OverflowPolicy::Reject).unwrap();
+        let mut a = DistAggregator::restore(&snap, 2, 1).unwrap();
         assert_eq!(a.update(4, obs(0, &[2, 0], &[])), lost);
         // The other process is unaffected.
         assert!(a.update(5, obs(1, &[0, 1], &[0])).is_empty());

@@ -13,8 +13,8 @@
 //!   any order consistent with transport reordering; a bounded hold
 //!   buffer releases them in a causally-consistent order (an event is
 //!   delivered only when its vector clock says every causal
-//!   predecessor already was). Capacity overflow is an explicit policy:
-//!   reject with backpressure, or drop newest.
+//!   predecessor already was). At capacity an event is refused with
+//!   backpressure, never dropped.
 //! - [`session`] — one monitored computation: variable namespace,
 //!   per-process local states, registered predicates, and one on-line
 //!   detector per predicate fed by the causal buffer.

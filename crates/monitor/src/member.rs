@@ -78,10 +78,6 @@ impl Out<'_> {
                 self.metrics.events_rejected.fetch_add(1, Relaxed);
                 None
             }
-            SessionError::Ingest(IngestError::Dropped) => {
-                self.metrics.events_dropped.fetch_add(1, Relaxed);
-                None
-            }
             _ => None,
         };
         self.error(Some(session), kind, e.to_string());
@@ -214,7 +210,6 @@ impl Member {
                 initial,
                 predicates,
                 limits.buffer_capacity,
-                limits.policy,
             )
             .map(Member::Aggregator),
             // The handle refuses this role before the WAL; only a log
@@ -433,13 +428,8 @@ impl Member {
             members.push((w.name.clone(), Member::Worker { origin, engine }));
         }
         for a in &snap.aggregators {
-            let engine = DistAggregator::restore(
-                &a.snap,
-                a.processes,
-                limits.buffer_capacity,
-                limits.policy,
-            )
-            .map_err(|e| format!("restore aggregator '{}': {e}", a.name))?;
+            let engine = DistAggregator::restore(&a.snap, a.processes, limits.buffer_capacity)
+                .map_err(|e| format!("restore aggregator '{}': {e}", a.name))?;
             members.push((a.name.clone(), Member::Aggregator(engine)));
         }
         Ok(members)

@@ -30,10 +30,8 @@ pub struct Metrics {
     pub events_held_high_water: AtomicU64,
     /// Duplicate events rejected.
     pub events_duplicate: AtomicU64,
-    /// Events refused with backpressure (hold space full, Reject policy).
+    /// Events refused with backpressure (hold space full).
     pub events_rejected: AtomicU64,
-    /// Events dropped (hold space full, DropNewest policy).
-    pub events_dropped: AtomicU64,
     /// Events discarded undelivered at session close.
     pub events_discarded: AtomicU64,
     /// Verdicts that settled (Detected or Impossible).
@@ -59,8 +57,10 @@ pub struct Metrics {
     pub snapshot_unix_secs: AtomicU64,
     /// Sessions rebuilt from the snapshot at startup.
     pub sessions_recovered: AtomicU64,
-    /// Recovered sessions a post-restart client re-attached to (its
-    /// first message naming the session adopts its reply sink).
+    /// Sessions a client connection adopted from the one they were
+    /// bound to: its message naming the session binds the session's
+    /// replies to it. After a restart, every recovered session a client
+    /// speaks for.
     pub sessions_reattached: AtomicU64,
     /// WAL records replayed at startup.
     pub recovery_replayed: AtomicU64,
@@ -143,7 +143,6 @@ impl Metrics {
             events_held_high_water: self.events_held_high_water.load(Relaxed),
             events_duplicate: self.events_duplicate.load(Relaxed),
             events_rejected: self.events_rejected.load(Relaxed),
-            events_dropped: self.events_dropped.load(Relaxed),
             events_discarded: self.events_discarded.load(Relaxed),
             verdicts_settled: self.verdicts_settled.load(Relaxed),
             sessions_opened: self.sessions_opened.load(Relaxed),
@@ -181,7 +180,6 @@ pub struct MetricsSnapshot {
     pub events_held_high_water: u64,
     pub events_duplicate: u64,
     pub events_rejected: u64,
-    pub events_dropped: u64,
     pub events_discarded: u64,
     pub verdicts_settled: u64,
     pub sessions_opened: u64,
@@ -217,7 +215,6 @@ impl MetricsSnapshot {
             ("events_held_high_water", self.events_held_high_water),
             ("events_duplicate", self.events_duplicate),
             ("events_rejected", self.events_rejected),
-            ("events_dropped", self.events_dropped),
             ("events_discarded", self.events_discarded),
             ("verdicts_settled", self.verdicts_settled),
             ("sessions_opened", self.sessions_opened),
@@ -253,7 +250,7 @@ impl fmt::Display for MetricsSnapshot {
         write!(
             f,
             "ingested={} delivered={} held={} held_hwm={} dup={} rejected={} \
-             dropped={} discarded={} verdicts={} sessions={}/{} errors={} \
+             discarded={} verdicts={} sessions={}/{} errors={} \
              wal={}r/{}B snapshots={}",
             self.events_ingested,
             self.events_delivered,
@@ -261,7 +258,6 @@ impl fmt::Display for MetricsSnapshot {
             self.events_held_high_water,
             self.events_duplicate,
             self.events_rejected,
-            self.events_dropped,
             self.events_discarded,
             self.verdicts_settled,
             self.sessions_active,
@@ -295,7 +291,7 @@ mod tests {
         m.events_ingested.fetch_add(5, Relaxed);
         let map = m.snapshot().to_map();
         assert_eq!(map["events_ingested"], 5);
-        assert_eq!(map.len(), 28);
+        assert_eq!(map.len(), 27);
     }
 
     #[test]
@@ -307,7 +303,7 @@ mod tests {
         let map = m.snapshot().to_map();
         assert_eq!(map["verdicts.pattern.inv.detected"], 2);
         assert_eq!(map["verdicts.state.goal.impossible"], 1);
-        assert_eq!(map.len(), 30);
+        assert_eq!(map.len(), 29);
     }
 
     #[test]
@@ -320,7 +316,7 @@ mod tests {
         assert_eq!(map["slice.ef.events_in"], 15);
         assert_eq!(map["slice.ef.events_filtered"], 9);
         assert!(!map.contains_key("slice.idle.events_in"));
-        assert_eq!(map.len(), 30);
+        assert_eq!(map.len(), 29);
     }
 
     #[test]

@@ -1086,7 +1086,7 @@ mod tests {
 
     #[test]
     fn distributed_slots_round_trip_through_json() {
-        use crate::{DistAggregator, DistWorker, OverflowPolicy};
+        use crate::{DistAggregator, DistWorker};
         use hb_tracefmt::wire::SliceUpdateBody;
 
         let preds = vec![WirePredicate {
@@ -1124,8 +1124,7 @@ mod tests {
             hb_vclock::VectorClock::from_components(vec![3, 0]),
             &set,
         );
-        let mut agg =
-            DistAggregator::open(2, 2, &vars, &[], &preds, 64, OverflowPolicy::Reject).unwrap();
+        let mut agg = DistAggregator::open(2, 2, &vars, &[], &preds, 64).unwrap();
         agg.update(
             0,
             SliceUpdateBody::Observe {
@@ -1155,13 +1154,9 @@ mod tests {
         // And the engines rebuild from the decoded state.
         let w = DistWorker::restore(&back.workers[0].snap, 2).unwrap();
         assert_eq!(w.snapshot(), snap.workers[0].snap);
-        let a = DistAggregator::restore(
-            &back.aggregators[0].snap,
-            back.aggregators[0].processes,
-            64,
-            OverflowPolicy::Reject,
-        )
-        .unwrap();
+        let a =
+            DistAggregator::restore(&back.aggregators[0].snap, back.aggregators[0].processes, 64)
+                .unwrap();
         assert_eq!(a.snapshot(), snap.aggregators[0].snap);
     }
 

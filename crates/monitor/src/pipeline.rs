@@ -16,7 +16,7 @@
 //! [`validate`] is the open-time half: the one place an open request
 //! is checked, for the session, the aggregator and the worker alike.
 
-use crate::buffer::{CausalBuffer, Delivered};
+use crate::buffer::{CausalBuffer, Delivered, OverflowPolicy};
 use crate::persist::{HeldSnapshot, MonitorSnapshot, PipelineSnapshot};
 use crate::session::{SessionError, SessionLimits, VerdictEvent};
 use hb_computation::{LocalState, VarId, VarTable};
@@ -299,7 +299,7 @@ impl<P> Pipeline<P> {
             .map(|(pred, body)| Detector::new(pred, body, &validated.states))
             .collect();
         let mut pipeline = Pipeline {
-            buffer: CausalBuffer::new(processes, limits.buffer_capacity, limits.policy),
+            buffer: CausalBuffer::new(processes, limits.buffer_capacity, OverflowPolicy::Reject),
             detectors,
             finished: vec![false; processes],
             monitor_finished: vec![false; processes],
@@ -488,7 +488,7 @@ impl<P> Pipeline<P> {
             snap.frontier.clone(),
             held,
             limits.buffer_capacity,
-            limits.policy,
+            OverflowPolicy::Reject,
         );
         if snap.monitors.len() != self.detectors.len() {
             return Err("monitor count");
@@ -511,7 +511,7 @@ impl<P> Pipeline<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DistAggregator, DistWorker, OverflowPolicy, Session};
+    use crate::{DistAggregator, DistWorker, Session};
     use hb_tracefmt::wire::{WireAtom, WirePattern};
 
     fn pred(id: &str, clauses: &[(usize, &str, &str, i64)]) -> WirePredicate {
@@ -542,7 +542,7 @@ mod tests {
         [
             Session::open("s", processes, &x, initial, preds, limits).err(),
             DistWorker::open(0, 1, processes, &x, initial, preds).err(),
-            DistAggregator::open(1, processes, &x, initial, preds, 8, OverflowPolicy::Reject).err(),
+            DistAggregator::open(1, processes, &x, initial, preds, 8).err(),
         ]
         .map(|e| e.map(|e| e.to_string()))
     }

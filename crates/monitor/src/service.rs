@@ -49,11 +49,13 @@
 //! before the crash.
 //!
 //! Transports are thin: the in-process [`MonitorHandle`] is the service
-//! API, and [`serve`] adapts it to TCP — one reader thread per
-//! connection decoding wire frames, one writer thread encoding sink
-//! messages back. A `shutdown` message (or [`MonitorService::shutdown`])
-//! flushes every session — stranded held events are discarded, final
-//! verdicts are emitted — before the workers exit.
+//! API, and [`serve`] adapts it to TCP through the connection driver
+//! the gateway shares ([`dial::accept_loop`]): one reader thread per
+//! connection handing wire frames to the handle, one writer thread
+//! encoding sink messages back. A member's replies go to the connection
+//! that last spoke for it. [`MonitorService::shutdown`] flushes every
+//! session — stranded held events are discarded, final verdicts are
+//! emitted — before the workers exit.
 
 use crate::member::{error_frame, Member, Out, GATEWAY_ONLY};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -68,8 +70,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{BufRead, BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -130,12 +131,17 @@ struct WalInner {
 
 type SharedWal = Arc<Mutex<WalInner>>;
 
+/// The writers of the connections [`serve`] has stopped serving, for
+/// [`MonitorService::shutdown`] to join after its flush.
+type StoppedWriters = Arc<Mutex<Vec<dial::Writers>>>;
+
 /// The running service: shard workers plus shared metrics.
 pub struct MonitorService {
     shards: Vec<Sender<Cmd>>,
     workers: Vec<JoinHandle<()>>,
     metrics: Arc<Metrics>,
     wal: Option<SharedWal>,
+    writers: StoppedWriters,
     stats_stop: Option<Sender<()>>,
     stats_thread: Option<JoinHandle<()>>,
 }
@@ -146,6 +152,7 @@ pub struct MonitorHandle {
     shards: Vec<Sender<Cmd>>,
     metrics: Arc<Metrics>,
     wal: Option<SharedWal>,
+    writers: StoppedWriters,
 }
 
 fn shard_index_of(session: &str, shards: usize) -> usize {
@@ -172,33 +179,31 @@ fn unix_now_secs() -> u64 {
 const SHARD_QUEUE_FRAMES: usize = 16;
 
 /// A sink whose receiver is already gone: sends are silently dropped.
-/// WAL replay answers into one, and recovered members keep it until a
-/// client re-attaches.
+/// WAL replay answers into one, and recovered members stay bound to it
+/// until a client speaks for them.
 fn dead_sink() -> Sender<ServerMsg> {
     unbounded().0
 }
 
-/// One member plus the sink registered at its open (or re-attached
-/// after recovery).
+/// One member plus the sink of the client connection that last spoke
+/// for it.
 struct Slot {
     member: Member,
     sink: Sender<ServerMsg>,
-    /// False for a member rebuilt by crash recovery that no client has
-    /// spoken to yet: its sink is dead, and settled verdicts have not
-    /// been shown to the post-restart client.
-    attached: bool,
 }
 
 impl Slot {
-    /// First client contact with a recovered member: adopt the client's
-    /// sink and re-report everything that settled before the crash (the
-    /// client that originally received those verdicts is gone).
-    fn attach(&mut self, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
-        if self.attached {
+    /// Binds the member's replies to the connection that speaks for it.
+    /// A connection other than the bound one adopts the member and is
+    /// told again what settled so far, since the bound one may be gone:
+    /// a client that dropped its connection, or, after a crash, the
+    /// dead sink every recovered member starts on. Dropping the old
+    /// sink releases the old connection's writer.
+    fn bind(&mut self, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
+        if self.sink.same_channel(sink) {
             return;
         }
         self.sink = sink.clone();
-        self.attached = true;
         metrics.sessions_reattached.fetch_add(1, Relaxed);
         for frame in self.member.settled(name) {
             let _ = self.sink.send(frame);
@@ -248,7 +253,7 @@ impl Shard {
     }
 
     /// Takes one client message through the shard: look the member up,
-    /// attach the caller's sink if the member is a recovered one, apply,
+    /// bind it to the caller's sink, apply,
     /// commit the gauges, forward the replies. Replies to a message that
     /// reaches no member (unknown session, wrong kind of frame, refused
     /// open) go to the caller's `sink`.
@@ -292,7 +297,6 @@ impl Shard {
                         let slot = Slot {
                             member,
                             sink: sink.clone(),
-                            attached: true,
                         };
                         self.members.insert(session, slot);
                     }
@@ -312,7 +316,7 @@ impl Shard {
             out.error(Some(name), None, format!("session '{name}' {why}"));
             return forward(out.frames, sink);
         }
-        slot.attach(name, sink, metrics);
+        slot.bind(name, sink, metrics);
         let before = slot.member.load();
         let closed = slot.member.apply(msg, &mut out);
         commit(metrics, before, slot.member.load());
@@ -334,12 +338,10 @@ impl Shard {
         snap
     }
 
-    /// Hands a recovered shard to the running service: every member
-    /// starts detached — its sink died with the old process — and is
+    /// Hands a recovered shard to the running service: every member is
     /// counted into the new process's metrics. Returns how many.
     fn adopt(&mut self, metrics: &Metrics) -> u64 {
         for slot in self.members.values_mut() {
-            slot.attached = false;
             slot.member.rewind_slice_stats();
             slot.member.census(metrics, true);
             metrics.held_add(slot.member.load().0);
@@ -385,14 +387,16 @@ fn recover(
             sync: p.sync,
         },
     )?;
+    // Restored members and the replayed tail share one dead sink, so
+    // replay binds no member anew.
+    let (scratch, nowhere) = (Metrics::new(), dead_sink());
     let mut from_seq = 0;
     if let Some((seq, payload)) = store.load_snapshot()? {
         let snap = ServiceSnapshot::from_json(&payload).map_err(StoreError::Corrupt)?;
         for (name, member) in Member::restore(&snap, limits).map_err(StoreError::Corrupt)? {
             let slot = Slot {
                 member,
-                sink: dead_sink(),
-                attached: false,
+                sink: nowhere.clone(),
             };
             shards[shard_index_of(&name, shards.len())]
                 .members
@@ -400,7 +404,6 @@ fn recover(
         }
         from_seq = seq;
     }
-    let (scratch, nowhere) = (Metrics::new(), dead_sink());
     // The old process's gauges counted the snapshot's members; replay
     // will count them out again as they close.
     for shard in shards.iter_mut() {
@@ -557,6 +560,7 @@ impl MonitorService {
             workers,
             metrics,
             wal,
+            writers: StoppedWriters::default(),
             stats_stop,
             stats_thread,
         })
@@ -568,6 +572,7 @@ impl MonitorService {
             shards: self.shards.clone(),
             metrics: Arc::clone(&self.metrics),
             wal: self.wal.clone(),
+            writers: Arc::clone(&self.writers),
         }
     }
 
@@ -578,9 +583,12 @@ impl MonitorService {
 
     /// Gracefully shuts down: every open session is closed (emitting
     /// final verdicts into its sink), then the workers exit and join.
-    /// With persistence, an **empty** snapshot is written last — a
+    /// With persistence, an **empty** snapshot is written next — a
     /// graceful shutdown resolves every session, so a later restart has
-    /// nothing to recover and must not resurrect them.
+    /// nothing to recover and must not resurrect them. Last, the
+    /// writers of the connections [`serve`] stopped serving are joined:
+    /// a client still connected reads its sessions' final verdicts and
+    /// `closed` before EOF.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         for tx in &self.shards {
             let _ = tx.send(Cmd::Flush);
@@ -599,6 +607,10 @@ impl MonitorService {
             {
                 eprintln!("hb-monitor: final snapshot failed: {e}");
             }
+        }
+        let writers = std::mem::take(&mut *self.writers.lock());
+        for w in writers {
+            w.join();
         }
         if let Some(stop) = self.stats_stop.take() {
             let _ = stop.send(());
@@ -754,78 +766,37 @@ fn shard_worker(rx: Receiver<Cmd>, mut shard: Shard, metrics: Arc<Metrics>) {
 
 // ---- TCP transport --------------------------------------------------------
 
-/// Serves the wire protocol on `listener` until a client sends
-/// `shutdown`. Each connection gets a reader (spawned by the shared
-/// accept loop) and a writer thread draining the connection's sink.
+/// Serves the wire protocol on `listener`, on the connection driver the
+/// gateway also runs, until a client sends `shutdown`.
 ///
-/// Returns when a `shutdown` frame arrives; the caller then owns the
-/// final [`MonitorService::shutdown`].
+/// Returns with the connections' writers still running: the caller's
+/// [`MonitorService::shutdown`] flushes into them, then joins them.
 pub fn serve(listener: TcpListener, handle: MonitorHandle) -> std::io::Result<()> {
-    dial::accept_loop(listener, move |stream| {
-        serve_connection(stream, handle.clone())
-    })
+    let writers = dial::accept_loop(listener, handle.clone())?;
+    handle.writers.lock().push(writers);
+    Ok(())
 }
 
-/// Handles one connection; returns whether the client asked the whole
-/// service to shut down.
-fn serve_connection(stream: TcpStream, handle: MonitorHandle) -> bool {
-    let peer_write = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return false,
-    };
-    let (sink_tx, sink_rx) = unbounded::<ServerMsg>();
-    let writer = std::thread::spawn(move || {
-        let mut w = BufWriter::new(peer_write);
-        for msg in sink_rx.iter() {
-            let is_bye = matches!(msg, ServerMsg::Bye);
-            if wire::write_frame(&mut w, &msg).is_err() || is_bye {
-                return;
+impl dial::Service for MonitorHandle {
+    /// Decodes and submits one frame. Only a logged service asks
+    /// whether a body is canonical, for the WAL stage to log it as it
+    /// came.
+    fn frame(&self, body: Vec<u8>, sink: &Sender<ServerMsg>) -> Result<bool, TraceError> {
+        let (msg, body): (ClientMsg, _) = match self.wal {
+            None => (wire::decode_body(&body)?, None),
+            Some(_) => {
+                let (msg, canonical) = wire::decode_client_body(&body)?;
+                (msg, canonical.then_some(body))
             }
-        }
-    });
-    let mut r = BufReader::new(stream);
-    let logged = handle.wal.is_some();
-    let mut shutdown = false;
-    loop {
-        match read_client_frame(&mut r, logged) {
-            Ok(Some((msg, body))) => {
-                let is_shutdown = matches!(msg, ClientMsg::Shutdown);
-                handle.submit_body(msg, body, &sink_tx);
-                if is_shutdown {
-                    shutdown = true;
-                    break;
-                }
-            }
-            Ok(None) => break, // clean disconnect
-            Err(e) => {
-                handle.answer(&sink_tx, error_frame(None, None, e.to_string()));
-                break; // framing is broken; no way to resync safely
-            }
-        }
+        };
+        let shutdown = matches!(msg, ClientMsg::Shutdown);
+        self.submit_body(msg, body, sink);
+        Ok(shutdown)
     }
-    drop(sink_tx); // writer drains and exits
-    let _ = writer.join();
-    shutdown
-}
 
-/// A client message, and the body it came in when that body is
-/// canonical, for the WAL stage to log as it came.
-type ClientFrame = (ClientMsg, Option<Vec<u8>>);
-
-/// The next client frame; `Ok(None)` at a clean end of stream. Only a
-/// `logged` service asks whether a body is canonical.
-fn read_client_frame<R: BufRead>(
-    r: &mut R,
-    logged: bool,
-) -> Result<Option<ClientFrame>, TraceError> {
-    let Some(body) = wire::read_body(r)? else {
-        return Ok(None);
-    };
-    if !logged {
-        return wire::decode_body(&body).map(|msg| Some((msg, None)));
+    fn refused(&self) {
+        self.metrics.protocol_errors.fetch_add(1, Relaxed);
     }
-    let (msg, canonical) = wire::decode_client_body(&body)?;
-    Ok(Some((msg, canonical.then_some(body))))
 }
 
 #[cfg(test)]
@@ -834,6 +805,8 @@ mod tests {
     use hb_store::SyncPolicy;
     use hb_tracefmt::wire::{SliceUpdateBody, WireClause, WireMode, WirePredicate, WireVerdict};
     use std::collections::BTreeMap;
+    use std::io::{BufReader, BufWriter};
+    use std::net::TcpStream;
     use std::path::PathBuf;
 
     fn fig2_open(session: &str) -> ClientMsg {
@@ -1206,6 +1179,74 @@ mod tests {
         server.join().unwrap();
         let stats = service.shutdown();
         assert_eq!(stats.events_ingested, 2);
+    }
+
+    /// A session's replies follow the connection that speaks for it.
+    /// Client A opens a session, sends one event and drops its
+    /// connection; client B, whose re-open is refused as
+    /// `already_open`, sends the rest and `close` — and reads the
+    /// verdict and `closed`, not A's dead socket.
+    #[test]
+    fn replies_follow_the_connection_that_speaks_for_a_session() {
+        let service = MonitorService::start(MonitorConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = service.handle();
+        let server = std::thread::spawn(move || serve(listener, handle).unwrap());
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            (
+                BufWriter::new(stream.try_clone().unwrap()),
+                BufReader::new(stream),
+            )
+        };
+        let read = |r: &mut BufReader<TcpStream>| -> ServerMsg {
+            wire::read_frame(r).expect("a reply in time").expect("open")
+        };
+
+        let (mut a_w, mut a_r) = connect();
+        wire::write_frame(&mut a_w, &fig2_open("bind")).unwrap();
+        assert!(matches!(read(&mut a_r), ServerMsg::Opened { .. }));
+        wire::write_frame(&mut a_w, &event("bind", 0, &[1, 0], &[("x0", 2)])).unwrap();
+        // Answered once the event is queued ahead of anything B sends.
+        wire::write_frame(&mut a_w, &ClientMsg::Stats).unwrap();
+        assert!(matches!(read(&mut a_r), ServerMsg::Stats { .. }));
+        drop((a_w, a_r));
+
+        let (mut b_w, mut b_r) = connect();
+        wire::write_frame(&mut b_w, &fig2_open("bind")).unwrap();
+        match read(&mut b_r) {
+            ServerMsg::Error { kind, .. } => {
+                assert_eq!(kind.as_deref(), Some(wire::error_kind::ALREADY_OPEN));
+            }
+            other => panic!("expected already_open, got {other:?}"),
+        }
+        wire::write_frame(&mut b_w, &event("bind", 1, &[0, 1], &[("x1", 1)])).unwrap();
+        wire::write_frame(&mut b_w, &event("bind", 0, &[2, 1], &[("x0", 3)])).unwrap();
+        let close = ClientMsg::Close {
+            session: "bind".into(),
+        };
+        wire::write_frame(&mut b_w, &close).unwrap();
+        assert_eq!(
+            read(&mut b_r),
+            ServerMsg::Verdict {
+                session: "bind".into(),
+                predicate: "ef".into(),
+                verdict: WireVerdict::Detected(vec![1, 1]),
+            }
+        );
+        assert!(matches!(read(&mut b_r), ServerMsg::Closed { .. }));
+
+        wire::write_frame(&mut b_w, &ClientMsg::Shutdown).unwrap();
+        assert_eq!(read(&mut b_r), ServerMsg::Bye);
+        server.join().unwrap();
+        let stats = service.shutdown();
+        assert_eq!(stats.verdicts_settled, 1);
+        assert_eq!(stats.sessions_active, 0);
+        assert_eq!(stats.sessions_reattached, 1);
     }
 
     // ---- persistence ------------------------------------------------------

@@ -16,7 +16,7 @@
 //! process is declared finished, and any predicate still pending
 //! becomes `Impossible`.
 
-use crate::buffer::{Delivered, IngestError, OverflowPolicy};
+use crate::buffer::{Delivered, IngestError};
 use crate::persist::SessionSnapshot;
 use crate::pipeline::{validate, Body, Detector, Pipeline};
 use hb_computation::{LocalState, VarId, VarTable};
@@ -87,13 +87,11 @@ pub struct VerdictEvent {
     pub verdict: OnlineVerdict,
 }
 
-/// Limits and policy for a session's causal buffer.
+/// Limits for a session's causal buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionLimits {
-    /// Maximum held-back events.
+    /// Maximum held-back events; one more is refused with backpressure.
     pub buffer_capacity: usize,
-    /// What to do at capacity.
-    pub policy: OverflowPolicy,
     /// Inert: nothing reads it, and every delivery reaches the
     /// detectors. It stays only because `benchmark/src/layers.rs`
     /// still sets it; the benchmark housekeeping of ROADMAP item 1
@@ -107,7 +105,6 @@ impl Default for SessionLimits {
     fn default() -> Self {
         SessionLimits {
             buffer_capacity: 4096,
-            policy: OverflowPolicy::Reject,
             slice: true,
         }
     }

@@ -9,7 +9,7 @@
 
 use hb_computation::{Computation, EventId};
 use hb_detect::online::OnlineVerdict;
-use hb_dist::{owner, OverflowPolicy};
+use hb_dist::owner;
 use hb_monitor::persist::MonitorSnapshot;
 use hb_monitor::session::{Session, SessionError, SessionLimits};
 use hb_monitor::{AggStep, DistAggregator, DistWorker, IngestError};
@@ -89,9 +89,7 @@ impl Partition {
         let workers = (0..k)
             .map(|i| DistWorker::open(i, k, n, &vars, &[], preds).unwrap())
             .collect();
-        let mut agg =
-            DistAggregator::open(k, n, &vars, &[], preds, capacity, OverflowPolicy::Reject)
-                .unwrap();
+        let mut agg = DistAggregator::open(k, n, &vars, &[], preds, capacity).unwrap();
         let outcomes = agg
             .take_initial_verdicts()
             .into_iter()

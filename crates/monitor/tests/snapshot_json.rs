@@ -8,8 +8,8 @@
 //! same snapshot.
 
 use hb_monitor::{
-    AggregatorSlotSnapshot, DistAggregator, DistWorker, OverflowPolicy, ServiceSnapshot, Session,
-    SessionLimits, WorkerSlotSnapshot,
+    AggregatorSlotSnapshot, DistAggregator, DistWorker, ServiceSnapshot, Session, SessionLimits,
+    WorkerSlotSnapshot,
 };
 use hb_tracefmt::wire::{
     SliceUpdateBody, WireAtom, WireClause, WireMode, WirePattern, WirePredicate,
@@ -125,7 +125,6 @@ impl Clocks {
 fn session(name: &str, steps: &[Step]) -> Session {
     let limits = SessionLimits {
         buffer_capacity: 16,
-        policy: OverflowPolicy::Reject,
         ..SessionLimits::default()
     };
     let mut s = Session::open(name, N, &vars(), &[], &predicates(), limits).expect("opens");
@@ -157,8 +156,7 @@ fn worker(steps: &[Step]) -> DistWorker {
 
 fn aggregator(steps: &[Step]) -> DistAggregator {
     let preds = vec![conjunctive("conj")];
-    let mut a =
-        DistAggregator::open(2, N, &vars(), &[], &preds, 2, OverflowPolicy::Reject).expect("opens");
+    let mut a = DistAggregator::open(2, N, &vars(), &[], &preds, 2).expect("opens");
     let (mut clocks, mut next) = (Clocks([0; N]), 0u64);
     for (i, st) in steps.iter().enumerate() {
         let update = match st.var {

@@ -1,5 +1,5 @@
 //! Dialing with retry, backoff, and the protocol handshake — and, for
-//! the listening side, the accept loop the servers share.
+//! the listening side, the connection driver the servers share.
 //!
 //! Every outbound TCP connection in the system goes through here: the
 //! gateway's backend pool, its health probes, the `hbtl` client
@@ -9,10 +9,12 @@
 //! out instead of synchronizing on the retry schedule.
 
 use crate::wire::{self, ClientMsg, ServerMsg};
+use crate::TraceError;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::{BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
@@ -142,54 +144,155 @@ pub fn dial(addr: &str, policy: &RetryPolicy) -> Result<Dialed, String> {
 
 // ---- the listening side ---------------------------------------------------
 
-/// Joins and forgets the connection threads that have already returned.
-fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
-    let mut i = 0;
-    while i < threads.len() {
-        if threads[i].is_finished() {
-            let _ = threads.swap_remove(i).join();
-        } else {
-            i += 1;
+/// What a server does with its clients' frames. [`accept_loop`] is the
+/// connection driver the monitor and the gateway share, and owns the
+/// rest: accepting, a registry of live connections, one reader thread
+/// per connection handing frame bodies here, and one writer thread per
+/// connection draining the replies sent to its sink.
+pub trait Service: Send + Sync + 'static {
+    /// Takes one frame body a client sent; replies go to `sink`.
+    /// `Ok(true)` when the frame was `shutdown`: the server stops. A
+    /// body that does not decode ends the connection.
+    fn frame(&self, body: Vec<u8>, sink: &Sender<ServerMsg>) -> Result<bool, TraceError>;
+    /// Counts a frame that could not be read or decoded. The driver
+    /// answers it with an error frame and ends the connection.
+    fn refused(&self);
+    /// A client connected (`true`), or its reader ended (`false`).
+    fn connected(&self, _open: bool) {}
+}
+
+/// How long, once the server stops, a client that does not read may
+/// hold up a write to it. Joining the writers waits no longer than this
+/// for any peer.
+const STOP_WRITE_BOUND: Duration = Duration::from_secs(2);
+
+/// A registered connection. The registry's hold on the socket is weak:
+/// it closes when both threads are done with it.
+struct Live {
+    stream: Weak<TcpStream>,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
+}
+
+/// Forgets the connections whose threads have both returned.
+fn reap_finished(live: &mut Vec<Live>) {
+    live.retain(|c| !(c.reader.is_finished() && c.writer.is_finished()));
+}
+
+/// One connection's reader: bodies to `service` until the client
+/// closes, a frame breaks, or a client asks the server to stop. It
+/// never waits for the writer. Returns whether the server should stop.
+fn read_loop<S: Service>(stream: &TcpStream, service: &S, sink: &Sender<ServerMsg>) -> bool {
+    let mut r = BufReader::new(stream);
+    loop {
+        let frame = wire::read_body(&mut r)
+            .and_then(|body| body.map(|body| service.frame(body, sink)).transpose());
+        match frame {
+            Ok(Some(false)) => {}
+            Ok(Some(true)) => return true,
+            // A clean disconnect, or the server stopping.
+            Ok(None) => return false,
+            Err(e) => {
+                // Framing is broken; there is no way to resync safely.
+                service.refused();
+                let _ = sink.send(ServerMsg::Error {
+                    session: None,
+                    kind: None,
+                    message: e.to_string(),
+                });
+                return false;
+            }
         }
     }
 }
 
-/// The accept loop the monitor and the gateway share: every connection
-/// gets a thread running `conn`, which returns `true` when its client
-/// asked the whole server to stop. Threads that have finished are
-/// reaped on each accept, so a long-lived server under connection churn
-/// keeps handles only for the connections still open; the rest are
-/// joined before this returns.
-pub fn accept_loop<F>(listener: TcpListener, conn: F) -> std::io::Result<()>
-where
-    F: Fn(TcpStream) -> bool + Send + Sync + 'static,
-{
+/// One connection's writer: reply frames until `bye`, a failed write,
+/// or the drop of the sink's last clone — the reader's, and one per
+/// session the connection speaks for.
+fn write_loop(stream: &TcpStream, replies: Receiver<ServerMsg>) {
+    let mut w = BufWriter::new(stream);
+    for msg in replies.iter() {
+        let is_bye = matches!(msg, ServerMsg::Bye);
+        if wire::write_frame(&mut w, &msg).is_err() || is_bye {
+            return;
+        }
+    }
+}
+
+/// The connection driver: serves `service` on `listener` until a client
+/// sends `shutdown`. Connections whose threads have returned are reaped
+/// on each accept, so a server under connection churn registers only
+/// the connections still open.
+///
+/// On stop it accepts no more, shuts the read half of every registered
+/// socket so blocked readers return, and joins the readers. The writers
+/// are handed back alive: the caller runs its final flush, whose
+/// replies still reach connected clients, then [`Writers::join`]s them.
+pub fn accept_loop<S: Service>(listener: TcpListener, service: S) -> std::io::Result<Writers> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let conn = Arc::new(conn);
-    let mut threads = Vec::new();
+    let service = Arc::new(service);
+    let mut live = Vec::new();
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let stream = stream?;
+        let stream = Arc::new(stream?);
         // Small request/reply frames; Nagle would stall each exchange on
         // a delayed-ACK round trip.
         let _ = stream.set_nodelay(true);
-        reap_finished(&mut threads);
-        let (stop, conn) = (Arc::clone(&stop), Arc::clone(&conn));
-        threads.push(std::thread::spawn(move || {
-            if conn(stream) {
+        reap_finished(&mut live);
+        let (sink, replies) = unbounded();
+        let weak = Arc::downgrade(&stream);
+        let writer = {
+            let stream = Arc::clone(&stream);
+            std::thread::spawn(move || write_loop(&stream, replies))
+        };
+        let (stop, service) = (Arc::clone(&stop), Arc::clone(&service));
+        let reader = std::thread::spawn(move || {
+            service.connected(true);
+            let stopping = read_loop(&stream, &*service, &sink);
+            service.connected(false);
+            if stopping {
                 stop.store(true, Ordering::SeqCst);
                 // Unblock the accept loop.
                 let _ = TcpStream::connect(addr);
             }
-        }));
+        });
+        live.push(Live {
+            stream: weak,
+            reader,
+            writer,
+        });
     }
-    for t in threads {
-        let _ = t.join();
+    for c in &live {
+        if let Some(stream) = c.stream.upgrade() {
+            let _ = stream.shutdown(Shutdown::Read);
+            let _ = stream.set_write_timeout(Some(STOP_WRITE_BOUND));
+        }
     }
-    Ok(())
+    let mut writers = Vec::with_capacity(live.len());
+    for c in live {
+        let _ = c.reader.join();
+        writers.push(c.writer);
+    }
+    Ok(Writers(writers))
+}
+
+/// The writer threads of a stopped server's connections, still
+/// draining their sinks.
+pub struct Writers(Vec<JoinHandle<()>>);
+
+impl Writers {
+    /// Joins every writer. Call it after the server's final flush has
+    /// dropped the sinks it held: a writer ends at its sink's last
+    /// clone, a failed write, or a client that has not read for
+    /// `STOP_WRITE_BOUND`.
+    pub fn join(self) {
+        for w in self.0 {
+            let _ = w.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -244,18 +347,20 @@ mod tests {
         use std::io::Read;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut threads = Vec::new();
+        let mut live = Vec::new();
         for _ in 0..1000 {
             let mut client = TcpStream::connect(addr).unwrap();
             let (stream, _) = listener.accept().unwrap();
-            reap_finished(&mut threads);
-            threads.push(std::thread::spawn(move || drop(stream)));
+            reap_finished(&mut live);
+            let stream = Arc::new(stream);
+            live.push(Live {
+                stream: Arc::downgrade(&stream),
+                reader: std::thread::spawn(|| {}),
+                writer: std::thread::spawn(move || drop(stream)),
+            });
             assert_eq!(client.read_to_end(&mut Vec::new()).unwrap(), 0);
         }
-        assert!(threads.len() <= 8, "{} handles retained", threads.len());
-        for t in threads {
-            t.join().unwrap();
-        }
+        assert!(live.len() <= 8, "{} connections retained", live.len());
     }
 
     /// Dials a one-shot peer that reads the `hello` and answers `reply`.
@@ -305,22 +410,75 @@ mod tests {
         assert!(err.ends_with("unknown client message 'hello'"), "{err}");
     }
 
-    #[test]
-    fn accept_loop_serves_until_a_connection_asks_to_stop() {
-        use std::io::{Read, Write};
+    /// Answers `hello` with a welcome and `shutdown` with `bye`, which
+    /// stops the server.
+    struct Greeter;
+
+    impl Service for Greeter {
+        fn frame(&self, body: Vec<u8>, sink: &Sender<ServerMsg>) -> Result<bool, TraceError> {
+            let stop = wire::decode_body::<ClientMsg>(&body)? == ClientMsg::Shutdown;
+            let _ = sink.send(match stop {
+                true => ServerMsg::Bye,
+                false => ServerMsg::Welcome {
+                    version: wire::WIRE_VERSION,
+                },
+            });
+            Ok(stop)
+        }
+
+        fn refused(&self) {}
+    }
+
+    /// Runs [`accept_loop`] over [`Greeter`] on a fresh port; the
+    /// receiver yields its result once it returns.
+    fn serve_greeter() -> (std::net::SocketAddr, Receiver<std::io::Result<Writers>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // A connection asks the server to stop by sending `!`.
-        let server = std::thread::spawn(move || {
-            accept_loop(listener, |mut stream| {
-                let mut byte = [0u8; 1];
-                matches!(stream.read(&mut byte), Ok(1)) && byte[0] == b'!'
-            })
-        });
+        let (done_tx, done_rx) = unbounded();
+        std::thread::spawn(move || done_tx.send(accept_loop(listener, Greeter)));
+        (addr, done_rx)
+    }
+
+    fn send(stream: &TcpStream, msg: &ClientMsg) {
+        wire::write_frame(&mut BufWriter::new(stream), msg).unwrap();
+    }
+
+    #[test]
+    fn accept_loop_serves_until_a_connection_asks_to_stop() {
+        let (addr, done) = serve_greeter();
         for _ in 0..3 {
-            TcpStream::connect(addr).unwrap().write_all(b".").unwrap();
+            let client = TcpStream::connect(addr).unwrap();
+            send(&client, &ClientMsg::Hello { version: 5 });
+            let reply = wire::read_frame::<_, ServerMsg>(&mut BufReader::new(&client));
+            assert_eq!(reply.unwrap(), Some(ServerMsg::Welcome { version: 5 }));
         }
-        TcpStream::connect(addr).unwrap().write_all(b"!").unwrap();
-        server.join().unwrap().unwrap();
+        let client = TcpStream::connect(addr).unwrap();
+        send(&client, &ClientMsg::Shutdown);
+        let mut r = BufReader::new(&client);
+        let bye = wire::read_frame::<_, ServerMsg>(&mut r).unwrap();
+        assert_eq!(bye, Some(ServerMsg::Bye));
+        done.recv().unwrap().unwrap().join();
+    }
+
+    /// A client that connects and never sends holds its reader in a
+    /// read with no deadline. The stop must not wait for it: the loop
+    /// returns, and the idle client reads EOF once the writers end.
+    #[test]
+    fn accept_loop_returns_while_a_reader_is_blocked() {
+        let (addr, done) = serve_greeter();
+        let idle = TcpStream::connect(addr).unwrap();
+        // The idle connection is registered once it has been served.
+        send(&idle, &ClientMsg::Hello { version: 5 });
+        let mut idle_r = BufReader::new(&idle);
+        let welcome = wire::read_frame::<_, ServerMsg>(&mut idle_r).unwrap();
+        assert_eq!(welcome, Some(ServerMsg::Welcome { version: 5 }));
+        send(&TcpStream::connect(addr).unwrap(), &ClientMsg::Shutdown);
+        let writers = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the accept loop waited for an idle reader")
+            .unwrap();
+        writers.join();
+        let eof = wire::read_frame::<_, ServerMsg>(&mut idle_r).unwrap();
+        assert_eq!(eof, None, "the idle client sees the server go");
     }
 }

@@ -6,6 +6,7 @@
 /// Multi-producer single-consumer channels.
 pub mod channel {
     use std::sync::mpsc;
+    use std::sync::Arc;
     use std::time::Duration;
 
     pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
@@ -16,6 +17,7 @@ pub mod channel {
         (
             Sender {
                 tx: Tx::Unbounded(tx),
+                id: Arc::new(()),
             },
             Receiver { rx },
         )
@@ -28,6 +30,7 @@ pub mod channel {
         (
             Sender {
                 tx: Tx::Bounded(tx),
+                id: Arc::new(()),
             },
             Receiver { rx },
         )
@@ -52,12 +55,16 @@ pub mod channel {
     #[derive(Debug)]
     pub struct Sender<T> {
         tx: Tx<T>,
+        /// Shared by every clone of one channel's sender: what
+        /// [`Sender::same_channel`] compares.
+        id: Arc<()>,
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
             Sender {
                 tx: self.tx.clone(),
+                id: Arc::clone(&self.id),
             }
         }
     }
@@ -79,6 +86,11 @@ pub mod channel {
                 Tx::Unbounded(tx) => tx.send(t).map_err(|e| TrySendError::Disconnected(e.0)),
                 Tx::Bounded(tx) => tx.try_send(t),
             }
+        }
+
+        /// Whether `self` and `other` send into the same channel.
+        pub fn same_channel(&self, other: &Sender<T>) -> bool {
+            Arc::ptr_eq(&self.id, &other.id)
         }
     }
 
@@ -143,5 +155,13 @@ mod tests {
         tx.try_send(3).unwrap();
         let got: Vec<i32> = [rx.recv().unwrap(), rx.recv().unwrap()].to_vec();
         assert_eq!(got, vec![2, 3]);
+    }
+
+    #[test]
+    fn same_channel_tells_clones_from_strangers() {
+        let (tx, _rx) = channel::unbounded::<u8>();
+        let (other, _orx) = channel::unbounded::<u8>();
+        assert!(tx.same_channel(&tx.clone()));
+        assert!(!tx.same_channel(&other));
     }
 }
