@@ -19,9 +19,21 @@
 //! * [`OnlineEfDisjunctive`] — on-line `EF(p)` for disjunctive `p`:
 //!   report the first arriving state satisfying any clause.
 //!
+//! The conjunctive queues are sized by concurrency, not by history: when
+//! a participating process with an empty queue is observed at clock
+//! `V`, every other queue drops the front candidates with `state <
+//! V[i]`. Each state the process can still queue carries a clock of at
+//! least `V`, so it knows the event that ended such a candidate's state,
+//! and the candidate can never join a compatible set. A process whose
+//! clause never holds therefore keeps the others' queues as short as its
+//! knowledge of them lags, instead of letting them grow for the whole
+//! run.
+//!
 //! Amortized cost: each queued state is pushed and popped at most once,
 //! and every pop is justified by one `O(n)` clock comparison — `O(n|E|)`
-//! over the whole run, matching the off-line bound.
+//! over the whole run, matching the off-line bound. The prune adds one
+//! `O(n)` front scan per observation of a process with an empty queue,
+//! skipped while no candidate is queued at all.
 
 use hb_computation::Cut;
 use hb_vclock::VectorClock;
@@ -239,18 +251,7 @@ impl OnlineMonitor for OnlineEfConjunctive {
     fn export_state(&self) -> DetectorState {
         DetectorState::Conjunctive(ConjunctiveState {
             n: self.n,
-            queues: self
-                .queues
-                .iter()
-                .map(|q| {
-                    q.iter()
-                        .map(|c| CandidateState {
-                            state: c.state,
-                            clock: c.clock.components().to_vec(),
-                        })
-                        .collect()
-                })
-                .collect(),
+            queues: self.queues.iter().map(|q| q.export(self.n)).collect(),
             participating: self.participating.clone(),
             seen: self.seen.clone(),
             finished: self.finished.clone(),
@@ -283,12 +284,53 @@ impl OnlineMonitor for OnlineEfDisjunctive {
     }
 }
 
-/// A queued candidate: a local state index and the clock of the event
-/// that produced it (`state 0` carries the zero clock).
-#[derive(Debug, Clone)]
-struct Candidate {
-    state: u32,
-    clock: VectorClock,
+/// One process's candidate queue: its clause-true local states in
+/// order, each with the clock of the event that produced it (`state 0`
+/// carries the zero clock). The clocks sit back to back in one ring,
+/// `n` components each, so a candidate needs no heap clock of its own.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    states: VecDeque<u32>,
+    clocks: VecDeque<u32>,
+}
+
+impl Queue {
+    fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// The front candidate's state.
+    fn front(&self) -> Option<u32> {
+        self.states.front().copied()
+    }
+
+    /// Component `j` of the front candidate's clock.
+    fn front_clock(&self, j: usize) -> u32 {
+        self.clocks[j]
+    }
+
+    /// Queues `state` with the first `n` components of `clock`.
+    fn push(&mut self, n: usize, state: u32, clock: &[u32]) {
+        self.states.push_back(state);
+        self.clocks.extend(&clock[..n]);
+    }
+
+    /// Drops the front candidate.
+    fn pop(&mut self, n: usize) {
+        self.states.pop_front();
+        self.clocks.drain(..n);
+    }
+
+    fn export(&self, n: usize) -> Vec<CandidateState> {
+        let mut clocks = self.clocks.iter().copied();
+        self.states
+            .iter()
+            .map(|&state| CandidateState {
+                state,
+                clock: clocks.by_ref().take(n).collect(),
+            })
+            .collect()
+    }
 }
 
 /// On-line `EF(conjunctive)` monitor.
@@ -302,7 +344,10 @@ struct Candidate {
 pub struct OnlineEfConjunctive {
     n: usize,
     /// Queue of satisfying states per participating process.
-    queues: Vec<VecDeque<Candidate>>,
+    queues: Vec<Queue>,
+    /// Candidates in all queues together: while it is 0 there is
+    /// nothing to prune.
+    queued: usize,
     /// Which processes carry a clause.
     participating: Vec<bool>,
     /// Number of states observed per process (so callers stream states,
@@ -323,7 +368,8 @@ impl OnlineEfConjunctive {
         assert_eq!(initially.len(), n);
         let mut m = OnlineEfConjunctive {
             n,
-            queues: vec![VecDeque::new(); n],
+            queues: vec![Queue::default(); n],
+            queued: 0,
             participating,
             seen: vec![0; n],
             finished: vec![false; n],
@@ -331,10 +377,8 @@ impl OnlineEfConjunctive {
         };
         for (i, &init) in initially.iter().enumerate() {
             if m.participating[i] && init {
-                m.queues[i].push_back(Candidate {
-                    state: 0,
-                    clock: VectorClock::new(n),
-                });
+                m.queues[i].push(n, 0, &vec![0; n]);
+                m.queued += 1;
             }
         }
         m.recheck();
@@ -349,14 +393,14 @@ impl OnlineEfConjunctive {
                 .queues
                 .iter()
                 .map(|q| {
-                    q.iter()
-                        .map(|c| Candidate {
-                            state: c.state,
-                            clock: VectorClock::from_components(c.clock.clone()),
-                        })
-                        .collect()
+                    let mut queue = Queue::default();
+                    for c in q {
+                        queue.push(s.n, c.state, &c.clock);
+                    }
+                    queue
                 })
                 .collect(),
+            queued: s.queues.iter().map(Vec::len).sum(),
             participating: s.participating.clone(),
             seen: s.seen.clone(),
             finished: s.finished.clone(),
@@ -370,20 +414,27 @@ impl OnlineEfConjunctive {
     ///
     /// States must arrive in per-process order; cross-process order is
     /// free.
+    ///
+    /// When `i`'s queue is empty, `clock` bounds every candidate `i` can
+    /// still offer from below, so the other queues' candidates it has
+    /// overtaken are dropped first (see the module documentation).
+    /// That never changes a verdict or a detected cut; it can settle
+    /// `Impossible` sooner, when the prune empties a finished process's
+    /// queue. Once the verdict settles, further input only counts.
     pub fn observe(&mut self, i: usize, holds: bool, clock: &VectorClock) {
         assert!(!self.finished[i], "process {i} already finished");
         self.seen[i] += 1;
-        if !self.participating[i] || !holds {
+        if !self.participating[i] || !matches!(self.verdict, OnlineVerdict::Pending) {
             return;
         }
-        if matches!(self.verdict, OnlineVerdict::Detected(_)) {
-            return; // already answered; ignore further input
+        let pruned = self.queues[i].is_empty() && self.prune_by(clock);
+        if holds {
+            self.queues[i].push(self.n, self.seen[i], clock.components());
+            self.queued += 1;
         }
-        self.queues[i].push_back(Candidate {
-            state: self.seen[i],
-            clock: clock.clone(),
-        });
-        self.recheck();
+        if holds || pruned {
+            self.recheck();
+        }
     }
 
     /// Declares that process `i` will produce no further states.
@@ -397,6 +448,29 @@ impl OnlineEfConjunctive {
         &self.verdict
     }
 
+    /// Pops from every queue the front candidates that `clock`, the
+    /// clock of an observed state of a process `j` whose queue is empty,
+    /// has overtaken (`state < clock[i]`). Every candidate `j` can still
+    /// queue carries a clock of at least `clock`, so it knows event
+    /// `state + 1` of `i` and is inconsistent with such a candidate: the
+    /// candidate is dead, and [`OnlineEfConjunctive::recheck`] would pop
+    /// it once `j` queued anything. `j`'s own queue is empty, so it is
+    /// not skipped (a data-dependent skip costs a branch miss per call).
+    /// Returns whether anything was popped.
+    fn prune_by(&mut self, clock: &VectorClock) -> bool {
+        let before = self.queued;
+        if before == 0 {
+            return false;
+        }
+        for (i, queue) in self.queues.iter_mut().enumerate() {
+            while queue.front().is_some_and(|state| state < clock.get(i)) {
+                queue.pop(self.n);
+                self.queued -= 1;
+            }
+        }
+        self.queued < before
+    }
+
     /// The popping fixpoint: drop candidates provably not part of any
     /// compatible set; detect when every participating queue's front is
     /// pairwise compatible.
@@ -405,56 +479,64 @@ impl OnlineEfConjunctive {
             return;
         }
         loop {
-            // A process with an empty queue: wait unless it is finished
-            // (then the conjunction can never hold again).
+            // A process with an empty queue: wait, unless some empty
+            // queue's process is finished (then the conjunction can never
+            // hold again).
+            let mut waiting = false;
             for i in 0..self.n {
                 if self.participating[i] && self.queues[i].is_empty() {
                     if self.finished[i] {
                         self.verdict = OnlineVerdict::Impossible;
+                        return;
                     }
-                    return;
+                    waiting = true;
                 }
             }
+            if waiting {
+                return;
+            }
             // All fronts available: enforce pairwise compatibility.
-            let mut popped = false;
+            let mut dead = None;
             'pairs: for i in 0..self.n {
                 if !self.participating[i] {
                     continue;
                 }
-                let ci = self.queues[i].front().expect("checked nonempty").clone();
+                let ci = &self.queues[i];
                 for j in 0..self.n {
                     if i == j || !self.participating[j] {
                         continue;
                     }
-                    let cj = self.queues[j].front().expect("checked nonempty");
+                    let cj_state = self.queues[j].front().expect("checked nonempty");
                     // i's candidate prefix requires more events of j than
                     // j's candidate provides: j's candidate is too early
                     // for i's and for every later i-candidate (clocks
                     // only grow), so it is dead.
-                    if ci.clock.get(j) > cj.state {
-                        self.queues[j].pop_front();
-                        popped = true;
+                    if ci.front_clock(j) > cj_state {
+                        dead = Some(j);
                         break 'pairs;
                     }
                 }
             }
-            if !popped {
-                // Compatible: the least satisfying cut is the join of the
-                // candidates' prefixes.
-                let mut counters = vec![0u32; self.n];
-                for i in 0..self.n {
-                    if !self.participating[i] {
-                        continue;
-                    }
-                    let c = self.queues[i].front().expect("nonempty");
-                    counters[i] = counters[i].max(c.state);
-                    for (j, slot) in counters.iter_mut().enumerate() {
-                        *slot = (*slot).max(c.clock.get(j));
-                    }
-                }
-                self.verdict = OnlineVerdict::Detected(Cut::from_counters(counters));
-                return;
+            if let Some(j) = dead {
+                self.queues[j].pop(self.n);
+                self.queued -= 1;
+                continue;
             }
+            // Compatible: the least satisfying cut is the join of the
+            // candidates' prefixes.
+            let mut counters = vec![0u32; self.n];
+            for i in 0..self.n {
+                if !self.participating[i] {
+                    continue;
+                }
+                let c = &self.queues[i];
+                counters[i] = counters[i].max(c.front().expect("nonempty"));
+                for (j, slot) in counters.iter_mut().enumerate() {
+                    *slot = (*slot).max(c.front_clock(j));
+                }
+            }
+            self.verdict = OnlineVerdict::Detected(Cut::from_counters(counters));
+            return;
         }
     }
 }

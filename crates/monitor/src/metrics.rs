@@ -55,6 +55,9 @@ pub struct Metrics {
     pub snapshots_written: AtomicU64,
     /// Unix time of the latest snapshot (gauge; 0 = none yet).
     pub snapshot_unix_secs: AtomicU64,
+    /// Size in bytes of the latest snapshot this process wrote (gauge;
+    /// 0 = none yet): what one snapshot barrier costs to write.
+    pub snapshot_bytes: AtomicU64,
     /// Sessions rebuilt from the snapshot at startup.
     pub sessions_recovered: AtomicU64,
     /// Sessions a client connection adopted from the one they were
@@ -154,6 +157,7 @@ impl Metrics {
             wal_fsync_max_micros: self.wal_fsync_max_micros.load(Relaxed),
             snapshots_written: self.snapshots_written.load(Relaxed),
             snapshot_unix_secs: self.snapshot_unix_secs.load(Relaxed),
+            snapshot_bytes: self.snapshot_bytes.load(Relaxed),
             sessions_recovered: self.sessions_recovered.load(Relaxed),
             sessions_reattached: self.sessions_reattached.load(Relaxed),
             recovery_replayed: self.recovery_replayed.load(Relaxed),
@@ -191,6 +195,7 @@ pub struct MetricsSnapshot {
     pub wal_fsync_max_micros: u64,
     pub snapshots_written: u64,
     pub snapshot_unix_secs: u64,
+    pub snapshot_bytes: u64,
     pub sessions_recovered: u64,
     pub sessions_reattached: u64,
     pub recovery_replayed: u64,
@@ -226,6 +231,7 @@ impl MetricsSnapshot {
             ("wal_fsync_max_micros", self.wal_fsync_max_micros),
             ("snapshots_written", self.snapshots_written),
             ("snapshot_unix_secs", self.snapshot_unix_secs),
+            ("snapshot_bytes", self.snapshot_bytes),
             ("sessions_recovered", self.sessions_recovered),
             ("sessions_reattached", self.sessions_reattached),
             ("recovery_replayed", self.recovery_replayed),
@@ -251,7 +257,7 @@ impl fmt::Display for MetricsSnapshot {
             f,
             "ingested={} delivered={} held={} held_hwm={} dup={} rejected={} \
              discarded={} verdicts={} sessions={}/{} errors={} \
-             wal={}r/{}B snapshots={}",
+             wal={}r/{}B snapshots={}/{}B",
             self.events_ingested,
             self.events_delivered,
             self.events_held,
@@ -266,6 +272,7 @@ impl fmt::Display for MetricsSnapshot {
             self.wal_records,
             self.wal_bytes,
             self.snapshots_written,
+            self.snapshot_bytes,
         )
     }
 }
@@ -291,7 +298,7 @@ mod tests {
         m.events_ingested.fetch_add(5, Relaxed);
         let map = m.snapshot().to_map();
         assert_eq!(map["events_ingested"], 5);
-        assert_eq!(map.len(), 27);
+        assert_eq!(map.len(), 28);
     }
 
     #[test]
@@ -303,7 +310,7 @@ mod tests {
         let map = m.snapshot().to_map();
         assert_eq!(map["verdicts.pattern.inv.detected"], 2);
         assert_eq!(map["verdicts.state.goal.impossible"], 1);
-        assert_eq!(map.len(), 29);
+        assert_eq!(map.len(), 30);
     }
 
     #[test]
@@ -316,7 +323,7 @@ mod tests {
         assert_eq!(map["slice.ef.events_in"], 15);
         assert_eq!(map["slice.ef.events_filtered"], 9);
         assert!(!map.contains_key("slice.idle.events_in"));
-        assert_eq!(map.len(), 29);
+        assert_eq!(map.len(), 30);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::buffer::{CausalBuffer, Delivered, OverflowPolicy};
 use crate::persist::{HeldSnapshot, MonitorSnapshot, PipelineSnapshot};
 use crate::session::{SessionError, SessionLimits, VerdictEvent};
 use hb_computation::{LocalState, VarId, VarTable};
-use hb_detect::online::{OnlineEfConjunctive, OnlineEfDisjunctive, OnlineMonitor};
+use hb_detect::online::{DetectorState, OnlineEfConjunctive, OnlineEfDisjunctive, OnlineMonitor};
 use hb_pattern::PredictiveMatcher;
 use hb_predicates::{CmpOp, LocalExpr};
 use hb_tracefmt::wire::{WireClause, WireMode, WirePredicate};
@@ -496,6 +496,21 @@ impl<P> Pipeline<P> {
         for (det, m) in self.detectors.iter_mut().zip(&snap.monitors) {
             if det.id != m.id {
                 return Err("monitor order");
+            }
+            // The detector indexes these by process and copies each
+            // candidate's clock by width: refuse a state that does not fit.
+            if let DetectorState::Conjunctive(s) = &m.state {
+                let lens = [
+                    s.n,
+                    s.queues.len(),
+                    s.participating.len(),
+                    s.seen.len(),
+                    s.finished.len(),
+                ];
+                let clocks = s.queues.iter().flatten().map(|c| c.clock.len());
+                if lens.into_iter().chain(clocks).any(|len| len != processes) {
+                    return Err("conjunctive detector state");
+                }
             }
             det.monitor = hb_pattern::restore_any(&m.state);
             det.emitted = m.emitted;

@@ -484,11 +484,13 @@ fn snapshot_barrier(
     snap.sessions.sort_by(|a, b| a.name.cmp(&b.name));
     snap.workers.sort_by(|a, b| a.name.cmp(&b.name));
     snap.aggregators.sort_by(|a, b| a.name.cmp(&b.name));
-    inner.store.write_snapshot(snap.to_json().as_bytes())?;
+    let text = snap.to_json();
+    inner.store.write_snapshot(text.as_bytes())?;
     inner.store.compact()?;
     inner.since_snapshot = 0;
     metrics.snapshots_written.fetch_add(1, Relaxed);
     metrics.snapshot_unix_secs.store(unix_now_secs(), Relaxed);
+    metrics.snapshot_bytes.store(text.len() as u64, Relaxed);
     Ok(())
 }
 
@@ -1313,7 +1315,17 @@ mod tests {
             handle.submit(event("s", 0, &[1, 0], &[("x0", 1)]), &tx);
             handle.submit(event("s", 0, &[2, 0], &[("x0", 2)]), &tx);
             assert_eq!(wait_verdict(&rx, "ef"), WireVerdict::Detected(vec![2, 1]));
-            assert!(service.metrics().snapshots_written >= 1);
+            let m = service.metrics();
+            assert!(m.snapshots_written >= 1);
+            // The gauge holds the newest snapshot's payload size.
+            let dir = &config.persist.as_ref().unwrap().dir;
+            let (_, newest) = hb_store::snapshot::list_snapshots(dir)
+                .unwrap()
+                .into_iter()
+                .max_by_key(|&(seq, _)| seq)
+                .unwrap();
+            let (_, payload) = hb_store::snapshot::read_snapshot(&newest).unwrap();
+            assert_eq!(m.snapshot_bytes, payload.len() as u64);
             drop(handle);
             drop(service); // crash
         }

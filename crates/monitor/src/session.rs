@@ -777,6 +777,32 @@ mod tests {
         assert!(Session::restore(&bad, SessionLimits::default()).is_err());
     }
 
+    #[test]
+    fn restore_rejects_conjunctive_states_of_the_wrong_width() {
+        use hb_detect::online::{CandidateState, DetectorState};
+
+        let mut s = fig2_session();
+        s.event(1, vc(&[0, 1]), &set(&[("x1", 1)])).unwrap();
+        let good = s.snapshot();
+        assert!(Session::restore(&good, SessionLimits::default()).is_ok());
+        let bad = |edit: &dyn Fn(&mut hb_detect::online::ConjunctiveState)| {
+            let mut bad = good.clone();
+            let DetectorState::Conjunctive(state) = &mut bad.pipeline.monitors[0].state else {
+                panic!("a conjunctive detector");
+            };
+            edit(state);
+            Session::restore(&bad, SessionLimits::default()).err()
+        };
+        assert!(bad(&|s| s.queues[1][0].clock = vec![0]).is_some());
+        assert!(bad(&|s| s.queues[0].push(CandidateState {
+            state: 1,
+            clock: vec![1, 0, 0],
+        }))
+        .is_some());
+        assert!(bad(&|s| s.seen.push(0)).is_some());
+        assert!(bad(&|s| s.n = 3).is_some());
+    }
+
     /// A snapshot the previous build wrote for a session whose filter
     /// kept clause-false events from its detector: `seen` short by those
     /// events, the count in the `slice` record's `pending`. It resumes
@@ -835,6 +861,102 @@ mod tests {
             }
             .to_json()
         };
+        assert_eq!(json(&restored), json(&original));
+    }
+
+    /// A snapshot the previous build wrote for a conjunctive detector
+    /// that never pruned: process 1's queue still holds candidates that
+    /// process 0's clock has passed. It restores as written, the next
+    /// process-0 observation prunes the queue to what this build keeps,
+    /// and the run ends exactly where the uninterrupted one does.
+    #[test]
+    fn an_old_snapshot_with_unpruned_queues_resumes_exactly() {
+        use crate::persist::ServiceSnapshot;
+        use hb_detect::online::{CandidateState, DetectorState};
+
+        // x0 = -1 does not hold until the end of the run; x1 = 1 holds on
+        // every process-1 event.
+        let session = || {
+            Session::open(
+                "dense",
+                2,
+                &["x0".to_string(), "x1".to_string()],
+                &[],
+                &[pred(
+                    "ef",
+                    WireMode::Conjunctive,
+                    &[(0, "x0", "=", -1), (1, "x1", "=", 1)],
+                )],
+                SessionLimits::default(),
+            )
+            .unwrap()
+        };
+        let queue = |s: &Session| match &s.snapshot().pipeline.monitors[0].state {
+            DetectorState::Conjunctive(state) => state.queues[1].clone(),
+            other => panic!("a conjunctive detector, got {other:?}"),
+        };
+        let json = |s: &Session| {
+            ServiceSnapshot {
+                sessions: vec![s.snapshot()],
+                ..ServiceSnapshot::default()
+            }
+            .to_json()
+        };
+
+        let mut original = session();
+        for k in 1..=4 {
+            original.event(1, vc(&[0, k]), &set(&[("x1", 1)])).unwrap();
+        }
+        // Process 0 hears of state 4 of process 1: states 1–3 are dead.
+        original.event(0, vc(&[1, 4]), &set(&[("x0", 0)])).unwrap();
+        for k in 5..=8 {
+            original.event(1, vc(&[0, k]), &set(&[("x1", 1)])).unwrap();
+        }
+        assert_eq!(queue(&original).len(), 5);
+
+        // The same state as the unpruned detector kept it.
+        let mut old = original.snapshot();
+        let DetectorState::Conjunctive(state) = &mut old.pipeline.monitors[0].state else {
+            panic!("a conjunctive detector");
+        };
+        let dead = (1..=3).map(|k| CandidateState {
+            state: k,
+            clock: vec![0, k],
+        });
+        state.queues[1].splice(0..0, dead);
+        let old_text = ServiceSnapshot {
+            sessions: vec![old],
+            ..ServiceSnapshot::default()
+        }
+        .to_json();
+        let snap = ServiceSnapshot::from_json(old_text.as_bytes()).unwrap();
+        let mut restored = Session::restore(&snap.sessions[0], SessionLimits::default()).unwrap();
+        assert_eq!(queue(&restored).len(), 8, "restored as written");
+        assert_eq!(json(&restored), old_text);
+
+        for s in [&mut original, &mut restored] {
+            assert!(s
+                .event(0, vc(&[2, 7]), &set(&[("x0", 0)]))
+                .unwrap()
+                .is_empty());
+        }
+        assert_eq!(queue(&restored), queue(&original));
+        assert_eq!(queue(&restored).len(), 2, "states 7 and 8");
+
+        for s in [&mut original, &mut restored] {
+            assert!(s
+                .event(1, vc(&[0, 9]), &set(&[("x1", 1)]))
+                .unwrap()
+                .is_empty());
+            let v = s.event(0, vc(&[3, 7]), &set(&[("x0", -1)])).unwrap();
+            assert_eq!(v.len(), 1);
+            match &v[0].verdict {
+                OnlineVerdict::Detected(cut) => assert_eq!(cut.counters(), &[3, 7]),
+                other => panic!("expected detection, got {other:?}"),
+            }
+            assert!(s.finish_process(0).unwrap().is_empty());
+            assert!(s.finish_process(1).unwrap().is_empty());
+        }
         assert_eq!(json(&restored), json(&original));
     }
 

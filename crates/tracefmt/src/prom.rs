@@ -21,6 +21,7 @@ const GAUGES: &[&str] = &[
     "backends_reporting",
     "events_queued",
     "queue_high_water",
+    "snapshot_bytes",
 ];
 
 /// Renders one `# TYPE` line and one sample per counter, namespaced
