@@ -147,3 +147,92 @@ fn verify_reports_zero_corruption_on_cleanly_flushed_log() {
     assert!(!report.corrupt);
     assert!(report.segments.iter().all(|s| s.tail == "clean"));
 }
+
+/// `MANIFEST.json` and the `store inspect --json` report are pinned
+/// byte for byte, and the manifest's records read back what they wrote
+/// and refuse malformed input by name.
+#[test]
+fn manifest_and_report_json_are_pinned() {
+    use hb_store::manifest::{Manifest, ManifestSegment, SnapshotRef, MANIFEST_FILE};
+    use serde::{Deserialize, Serialize};
+
+    let dir = tmpdir("pinned-json");
+    {
+        let mut store = Store::open(&dir, opts(256)).unwrap();
+        for i in 0..10u64 {
+            store.append(&payload(i, 40)).unwrap();
+        }
+        store.write_snapshot(b"state").unwrap();
+        store.compact().unwrap();
+        store.append(&payload(10, 40)).unwrap();
+    }
+    let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+    assert_eq!(
+        manifest,
+        r#"{"version":1,"segments":[{"file":"wal-0000000000000005.seg","first_seq":5},{"file":"wal-000000000000000a.seg","first_seq":10}],"snapshot":{"file":"snap-000000000000000a.snap","next_seq":10}}"#
+    );
+    let report = serde_json::to_string(&inspect(&dir).unwrap().to_value()).unwrap();
+    assert_eq!(
+        report,
+        r#"{"segments":[{"file":"wal-0000000000000005.seg","first_seq":5,"records":5,"valid_bytes":256,"file_bytes":256,"tail":"clean","bad_bytes":0},{"file":"wal-000000000000000a.seg","first_seq":10,"records":1,"valid_bytes":64,"file_bytes":64,"tail":"clean","bad_bytes":0}],"snapshots":[{"file":"snap-000000000000000a.snap","next_seq":10,"valid":true,"payload_bytes":5}],"manifest_ok":true,"records":6,"next_seq":11,"bad_bytes":0,"corrupt":false,"repaired_bytes":0}"#
+    );
+
+    let full = Manifest {
+        segments: vec![
+            ManifestSegment {
+                file: "a.seg".into(),
+                first_seq: 0,
+            },
+            ManifestSegment {
+                file: "b.seg".into(),
+                first_seq: 9,
+            },
+        ],
+        snapshot: Some(SnapshotRef {
+            file: "c.snap".into(),
+            next_seq: 9,
+        }),
+    };
+    for m in [full, Manifest::default()] {
+        let text = serde_json::to_string(&m.to_value()).unwrap();
+        let back = Manifest::from_value(&serde_json::parse_value(&text).unwrap()).unwrap();
+        assert_eq!(back, m, "{text}");
+    }
+    for (text, canonical) in [
+        (r#"{"version":1}"#, r#"{"version":1,"segments":[]}"#),
+        (
+            r#"{"version":1,"segments":null,"snapshot":null}"#,
+            r#"{"version":1,"segments":[]}"#,
+        ),
+    ] {
+        let m = Manifest::from_value(&serde_json::parse_value(text).unwrap()).unwrap();
+        assert_eq!(serde_json::to_string(&m.to_value()).unwrap(), canonical);
+    }
+    for (text, message) in [
+        (r#"[]"#, "expected object, found array"),
+        (r#"{"segments":[]}"#, "missing field 'version'"),
+        (
+            r#"{"version":2,"segments":[]}"#,
+            "unsupported manifest version 2",
+        ),
+        (
+            r#"{"version":1,"segments":[{"file":"a.seg"}]}"#,
+            "field 'segments': missing field 'first_seq'",
+        ),
+        (
+            r#"{"version":1,"segments":[7]}"#,
+            "field 'segments': expected object, found integer",
+        ),
+        (
+            r#"{"version":1,"snapshot":{"file":"c.snap","next_seq":"9"}}"#,
+            "field 'snapshot': field 'next_seq': expected integer, found string",
+        ),
+        (
+            r#"{"version":1,"snapshot":"c.snap"}"#,
+            "field 'snapshot': expected object, found string",
+        ),
+    ] {
+        let err = Manifest::from_value(&serde_json::parse_value(text).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), message, "{text}");
+    }
+}

@@ -167,3 +167,73 @@ proptest! {
         let _ = from_text(&lines.join("\n"));
     }
 }
+
+/// A trace document's text is pinned byte for byte, reads back to
+/// itself, defaults its optional fields, and refuses malformed input
+/// by name.
+#[test]
+fn trace_file_json_is_pinned() {
+    use hb_tracefmt::{TraceEvent, TraceEventKind, TraceFile};
+    use serde::{Deserialize, Serialize};
+
+    let file = TraceFile {
+        processes: 2,
+        vars: vec!["x".into(), "y".into()],
+        initial: vec![[("x".to_string(), 5i64)].into_iter().collect()],
+        events: vec![
+            TraceEvent {
+                p: 0,
+                kind: TraceEventKind::Send { msg: 0 },
+                set: [("y".to_string(), 2i64)].into_iter().collect(),
+                label: Some("e1".into()),
+            },
+            TraceEvent {
+                p: 1,
+                kind: TraceEventKind::Recv { msg: 0 },
+                set: Default::default(),
+                label: None,
+            },
+            TraceEvent {
+                p: 1,
+                kind: TraceEventKind::Internal,
+                set: Default::default(),
+                label: None,
+            },
+        ],
+    };
+    let text = serde_json::to_string(&file.to_value()).unwrap();
+    assert_eq!(
+        text,
+        r#"{"processes":2,"vars":["x","y"],"initial":[{"x":5}],"events":[{"p":0,"kind":"send","msg":0,"set":{"y":2},"label":"e1"},{"p":1,"kind":"recv","msg":0},{"p":1,"kind":"internal"}]}"#
+    );
+    let back = TraceFile::from_value(&serde_json::parse_value(&text).unwrap()).unwrap();
+    assert_eq!(back, file);
+
+    let bare = r#"{"processes":1,"events":[],"vars":null}"#;
+    let bare = TraceFile::from_value(&serde_json::parse_value(bare).unwrap()).unwrap();
+    assert_eq!(
+        serde_json::to_string(&bare.to_value()).unwrap(),
+        r#"{"processes":1,"vars":[],"initial":[],"events":[]}"#
+    );
+
+    for (text, message) in [
+        (r#"[]"#, "expected object, found array"),
+        (r#"{"events":[]}"#, "missing field 'processes'"),
+        (r#"{"processes":1}"#, "missing field 'events'"),
+        (
+            r#"{"processes":1,"events":[],"vars":[1]}"#,
+            "field 'vars': expected string, found integer",
+        ),
+        (
+            r#"{"processes":1,"events":[{"p":0,"kind":"fork"}]}"#,
+            "field 'events': unknown event kind 'fork' (expected internal, send, or recv)",
+        ),
+        (
+            r#"{"processes":1,"events":[{"p":0,"kind":"send"}]}"#,
+            "field 'events': missing field 'msg'",
+        ),
+    ] {
+        let err = TraceFile::from_value(&serde_json::parse_value(text).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), message, "{text}");
+    }
+}
