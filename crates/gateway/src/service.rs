@@ -53,6 +53,7 @@ use crate::metrics::{GatewayMetrics, GatewaySnapshot};
 use crate::rendezvous;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use hb_dist::{owner, worker_session};
+use hb_tracefmt::prom;
 use hb_tracefmt::wire::{self, ClientMsg, EventFrame, ServerMsg, SliceUpdateBody, WireDistRole};
 use hb_tracefmt::TraceError;
 use parking_lot::Mutex;
@@ -1055,7 +1056,8 @@ fn fetch_backend_stats(addr: &str) -> Result<BTreeMap<String, u64>, String> {
     }
 }
 
-/// Gateway counters plus every reachable backend's counters, summed.
+/// Gateway counters plus every reachable backend's counters, merged by
+/// [`merge_counters`].
 fn aggregate_stats(inner: &Arc<Inner>) -> BTreeMap<String, u64> {
     inner.metrics.stats_fanouts.fetch_add(1, Relaxed);
     let mut merged = inner.metrics.snapshot().to_map();
@@ -1072,9 +1074,7 @@ fn aggregate_stats(inner: &Arc<Inner>) -> BTreeMap<String, u64> {
         }
         if let Ok(counters) = fetch_backend_stats(&backend.addr) {
             reporting += 1;
-            for (k, v) in counters {
-                *merged.entry(k).or_insert(0) += v;
-            }
+            merge_counters(&mut merged, counters);
         }
     }
     merged.insert("gateway_backends_total".into(), total);
@@ -1099,6 +1099,20 @@ fn aggregate_stats(inner: &Arc<Inner>) -> BTreeMap<String, u64> {
         }
     }
     merged
+}
+
+/// Folds one backend's counters into `merged`: the largest value of a
+/// high-water mark, worst case or time ([`prom::Kind::Max`]), and the
+/// sum of every other counter and level.
+fn merge_counters(merged: &mut BTreeMap<String, u64>, backend: BTreeMap<String, u64>) {
+    for (k, v) in backend {
+        let kind = prom::kind(&k);
+        let slot = merged.entry(k).or_insert(0);
+        *slot = match kind {
+            prom::Kind::Max => (*slot).max(v),
+            prom::Kind::Counter | prom::Kind::Gauge => *slot + v,
+        };
+    }
 }
 
 fn count_sessions_on(inner: &Inner, b: usize) -> u64 {
@@ -1435,5 +1449,57 @@ fn handle_client_msg(inner: &Arc<Inner>, msg: ClientMsg, sink: &Sender<ServerMsg
                 forward_frame(inner, &mut e, msg);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn counters(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn merged_stats_sum_counts_and_levels_and_keep_the_largest_maximum() {
+        let mut merged = counters(&[("gateway_frames_forwarded", 9)]);
+        merge_counters(
+            &mut merged,
+            counters(&[
+                ("events_ingested", 100),
+                ("sessions_active", 2),
+                ("events_held_high_water", 40),
+                ("wal_fsync_max_micros", 700),
+                ("snapshot_unix_secs", 1_700_000_000),
+                ("recovery_millis", 12),
+                ("verdicts.state.p0.detected", 1),
+            ]),
+        );
+        merge_counters(
+            &mut merged,
+            counters(&[
+                ("events_ingested", 50),
+                ("sessions_active", 3),
+                ("events_held_high_water", 15),
+                ("wal_fsync_max_micros", 900),
+                ("snapshot_unix_secs", 1_700_000_060),
+                ("recovery_millis", 5),
+                ("dist_updates_applied", 4),
+            ]),
+        );
+        assert_eq!(
+            merged,
+            counters(&[
+                ("gateway_frames_forwarded", 9),
+                ("events_ingested", 150),
+                ("sessions_active", 5),
+                ("events_held_high_water", 40),
+                ("wal_fsync_max_micros", 900),
+                ("snapshot_unix_secs", 1_700_000_060),
+                ("recovery_millis", 12),
+                ("verdicts.state.p0.detected", 1),
+                ("dist_updates_applied", 4),
+            ])
+        );
     }
 }

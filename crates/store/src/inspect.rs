@@ -11,7 +11,7 @@ use crate::manifest::Manifest;
 use crate::segment::{list_segments, scan_segment, truncate_tail, TailState};
 use crate::snapshot::{list_snapshots, read_snapshot};
 use crate::StoreError;
-use serde::{Serialize, Value};
+use serde::json_object;
 use std::path::Path;
 
 /// One segment, as seen on disk.
@@ -67,45 +67,15 @@ pub struct StoreReport {
     pub repaired_bytes: u64,
 }
 
-impl Serialize for SegmentReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("file".into(), self.file.to_value()),
-            ("first_seq".into(), self.first_seq.to_value()),
-            ("records".into(), self.records.to_value()),
-            ("valid_bytes".into(), self.valid_bytes.to_value()),
-            ("file_bytes".into(), self.file_bytes.to_value()),
-            ("tail".into(), self.tail.to_value()),
-            ("bad_bytes".into(), self.bad_bytes.to_value()),
-        ])
-    }
-}
+json_object!(serialize_only SegmentReport {
+    file, first_seq, records, valid_bytes, file_bytes, tail, bad_bytes
+});
 
-impl Serialize for SnapshotReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("file".into(), self.file.to_value()),
-            ("next_seq".into(), self.next_seq.to_value()),
-            ("valid".into(), self.valid.to_value()),
-            ("payload_bytes".into(), self.payload_bytes.to_value()),
-        ])
-    }
-}
+json_object!(serialize_only SnapshotReport { file, next_seq, valid, payload_bytes });
 
-impl Serialize for StoreReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("segments".into(), self.segments.to_value()),
-            ("snapshots".into(), self.snapshots.to_value()),
-            ("manifest_ok".into(), self.manifest_ok.to_value()),
-            ("records".into(), self.records.to_value()),
-            ("next_seq".into(), self.next_seq.to_value()),
-            ("bad_bytes".into(), self.bad_bytes.to_value()),
-            ("corrupt".into(), self.corrupt.to_value()),
-            ("repaired_bytes".into(), self.repaired_bytes.to_value()),
-        ])
-    }
-}
+json_object!(serialize_only StoreReport {
+    segments, snapshots, manifest_ok, records, next_seq, bad_bytes, corrupt, repaired_bytes
+});
 
 fn file_name(path: &Path) -> String {
     path.file_name()

@@ -13,7 +13,7 @@
 //! the old file, fsync the directory.
 
 use crate::StoreError;
-use serde::{help, DeError, Deserialize, Serialize, Value};
+use serde::{help, json_object, DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 
 /// The manifest file name.
@@ -46,44 +46,11 @@ pub struct Manifest {
     pub snapshot: Option<SnapshotRef>,
 }
 
-impl Serialize for ManifestSegment {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("file".into(), self.file.to_value()),
-            ("first_seq".into(), self.first_seq.to_value()),
-        ])
-    }
-}
+json_object!(ManifestSegment { file, first_seq });
 
-impl Deserialize for ManifestSegment {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        Ok(ManifestSegment {
-            file: help::field(v, "file")?,
-            first_seq: help::field(v, "first_seq")?,
-        })
-    }
-}
+json_object!(SnapshotRef { file, next_seq });
 
-impl Serialize for SnapshotRef {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("file".into(), self.file.to_value()),
-            ("next_seq".into(), self.next_seq.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SnapshotRef {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        Ok(SnapshotRef {
-            file: help::field(v, "file")?,
-            next_seq: help::field(v, "next_seq")?,
-        })
-    }
-}
-
+// Hand-written: the constant `version` has no field to declare.
 impl Serialize for Manifest {
     fn to_value(&self) -> Value {
         let mut fields = vec![

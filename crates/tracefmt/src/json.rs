@@ -2,7 +2,7 @@
 
 use crate::TraceError;
 use hb_computation::{Computation, ComputationBuilder, EventKind, MsgToken};
-use serde::{help, DeError, Deserialize, Serialize, Value};
+use serde::{help, json_object, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Top-level trace document.
@@ -53,29 +53,14 @@ pub enum TraceEventKind {
     },
 }
 
-impl Serialize for TraceFile {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("processes".into(), self.processes.to_value()),
-            ("vars".into(), self.vars.to_value()),
-            ("initial".into(), self.initial.to_value()),
-            ("events".into(), self.events.to_value()),
-        ])
-    }
-}
+json_object!(TraceFile {
+    processes,
+    vars: or_default,
+    initial: or_default,
+    events,
+});
 
-impl Deserialize for TraceFile {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        Ok(TraceFile {
-            processes: help::field(v, "processes")?,
-            vars: help::field_or_default(v, "vars")?,
-            initial: help::field_or_default(v, "initial")?,
-            events: help::field(v, "events")?,
-        })
-    }
-}
-
+// Hand-written: the event's `kind` is flattened into the row.
 impl Serialize for TraceEvent {
     fn to_value(&self) -> Value {
         let mut fields = vec![("p".into(), self.p.to_value())];

@@ -21,7 +21,7 @@
 //! independent of any expression syntax.
 
 use crate::TraceError;
-use serde::{help, DeError, Deserialize, Serialize, Value};
+use serde::{help, json_object, json_tagged, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::{BufRead, ErrorKind, Read, Write};
 
@@ -479,115 +479,70 @@ pub mod error_kind {
 }
 
 // ---- serialization --------------------------------------------------------
+//
+// One declaration per record; three shapes are written by hand: the
+// mode is a bare string, and a verdict carries its cut as a newtype
+// variant.
 
-impl Serialize for WireClause {
+impl Serialize for WireMode {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("process".into(), self.process.to_value()),
-            ("var".into(), self.var.to_value()),
-            ("op".into(), self.op.to_value()),
-            ("value".into(), self.value.to_value()),
-        ])
+        Value::Str(self.as_str().into())
     }
 }
 
-impl Deserialize for WireClause {
+impl Deserialize for WireMode {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        Ok(WireClause {
-            process: help::field(v, "process")?,
-            var: help::field(v, "var")?,
-            op: help::field(v, "op")?,
-            value: help::field(v, "value")?,
-        })
-    }
-}
-
-impl Serialize for WireAtom {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        if let Some(p) = self.process {
-            fields.push(("process".into(), p.to_value()));
-        }
-        fields.push(("var".into(), self.var.to_value()));
-        fields.push(("op".into(), self.op.to_value()));
-        fields.push(("value".into(), self.value.to_value()));
-        if self.causal {
-            fields.push(("causal".into(), self.causal.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for WireAtom {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        Ok(WireAtom {
-            process: help::field_opt(v, "process")?,
-            var: help::field(v, "var")?,
-            op: help::field(v, "op")?,
-            value: help::field(v, "value")?,
-            causal: help::field_or_default(v, "causal")?,
-        })
-    }
-}
-
-impl Serialize for WirePattern {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![("atoms".into(), self.atoms.to_value())])
-    }
-}
-
-impl Deserialize for WirePattern {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        let atoms: Vec<WireAtom> = help::field(v, "atoms")?;
-        if atoms.is_empty() {
-            return Err(DeError::msg("empty pattern"));
-        }
-        Ok(WirePattern { atoms })
-    }
-}
-
-impl Serialize for WirePredicate {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("id".into(), self.id.to_value()),
-            ("mode".into(), self.mode.as_str().to_value()),
-            ("clauses".into(), self.clauses.to_value()),
-        ];
-        if let Some(p) = &self.pattern {
-            fields.push(("pattern".into(), p.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for WirePredicate {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        let mode = match help::field::<String>(v, "mode")?.as_str() {
-            "conjunctive" => WireMode::Conjunctive,
-            "disjunctive" => WireMode::Disjunctive,
-            "pattern" => WireMode::Pattern,
-            other => {
-                return Err(DeError::msg(format!(
-                    "unknown predicate mode '{other}' (expected conjunctive, \
-                     disjunctive, or pattern)"
-                )))
-            }
+        let Value::Str(mode) = v else {
+            return Err(DeError::expected("string", v));
         };
-        let pattern: Option<WirePattern> = help::field_opt(v, "pattern")?;
-        if matches!(mode, WireMode::Pattern) && pattern.is_none() {
-            return Err(DeError::msg("pattern predicate without a pattern body"));
+        match mode.as_str() {
+            "conjunctive" => Ok(WireMode::Conjunctive),
+            "disjunctive" => Ok(WireMode::Disjunctive),
+            "pattern" => Ok(WireMode::Pattern),
+            other => Err(DeError::msg(format!(
+                "unknown predicate mode '{other}' (expected conjunctive, \
+                 disjunctive, or pattern)"
+            ))),
         }
-        Ok(WirePredicate {
-            id: help::field(v, "id")?,
-            mode,
-            clauses: help::field_or_default(v, "clauses")?,
-            pattern,
-        })
     }
+}
+
+json_object!(WireClause {
+    process,
+    var,
+    op,
+    value
+});
+
+json_object!(WireAtom {
+    process: opt,
+    var,
+    op,
+    value,
+    causal: skip_false,
+});
+
+json_object!(WirePattern { atoms } check nonempty_pattern);
+
+fn nonempty_pattern(pattern: &WirePattern) -> Result<(), DeError> {
+    if pattern.atoms.is_empty() {
+        return Err(DeError::msg("empty pattern"));
+    }
+    Ok(())
+}
+
+json_object!(WirePredicate {
+    id,
+    mode,
+    clauses: or_default,
+    pattern: opt,
+} check pattern_has_body);
+
+fn pattern_has_body(pred: &WirePredicate) -> Result<(), DeError> {
+    if pred.mode == WireMode::Pattern && pred.pattern.is_none() {
+        return Err(DeError::msg("pattern predicate without a pattern body"));
+    }
+    Ok(())
 }
 
 impl Serialize for WireVerdict {
@@ -616,387 +571,77 @@ impl Deserialize for WireVerdict {
     }
 }
 
-impl Serialize for EventFrame {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("p".into(), self.p.to_value()),
-            ("clock".into(), self.clock.to_value()),
-        ];
-        if !self.set.is_empty() {
-            fields.push(("set".into(), self.set.to_value()));
-        }
-        Value::Object(fields)
-    }
+json_object!(EventFrame {
+    p,
+    clock,
+    set: skip_empty,
+});
+
+json_tagged!(WireDistRole, "role",
+    "unknown distribution role '{}' (expected distribute, worker, or aggregator)" {
+    "distribute" => Distribute { k },
+    "worker" => Worker { origin, worker, k },
+    "aggregator" => Aggregator { k },
+});
+
+json_tagged!(SliceUpdateBody, "op", "unknown slice-update op '{}'" {
+    "observe" => Observe { p, clock, holds: skip_empty, invalid: opt },
+    "finish" => Finish { p },
+    "close" => Close,
+});
+
+json_tagged!(ClientMsg, "type", "unknown client message '{}'" {
+    "hello" => Hello { version },
+    "drain" => Drain { backend },
+    "open" => Open {
+        session, processes, vars: or_default, initial: or_default, predicates: or_default, dist: opt
+    },
+    "event" => Event { session, p, clock, set: skip_empty },
+    "events" => Events { session, events },
+    "dist-event" => DistEvent { session, seq, event },
+    "slice-update" => SliceUpdate { session, seq, update },
+    "finish" => FinishProcess { session, p },
+    "close" => Close { session },
+    "stats" => Stats,
+    "shutdown" => Shutdown,
 }
-
-impl Deserialize for EventFrame {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        Ok(EventFrame {
-            p: help::field(v, "p")?,
-            clock: help::field(v, "clock")?,
-            set: help::field_or_default(v, "set")?,
-        })
-    }
-}
-
-impl Serialize for WireDistRole {
-    fn to_value(&self) -> Value {
-        match self {
-            WireDistRole::Distribute { k } => Value::Object(vec![
-                ("role".into(), "distribute".to_value()),
-                ("k".into(), k.to_value()),
-            ]),
-            WireDistRole::Worker { origin, worker, k } => Value::Object(vec![
-                ("role".into(), "worker".to_value()),
-                ("origin".into(), origin.to_value()),
-                ("worker".into(), worker.to_value()),
-                ("k".into(), k.to_value()),
-            ]),
-            WireDistRole::Aggregator { k } => Value::Object(vec![
-                ("role".into(), "aggregator".to_value()),
-                ("k".into(), k.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for WireDistRole {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        match help::field::<String>(v, "role")?.as_str() {
-            "distribute" => Ok(WireDistRole::Distribute {
-                k: help::field(v, "k")?,
-            }),
-            "worker" => Ok(WireDistRole::Worker {
-                origin: help::field(v, "origin")?,
-                worker: help::field(v, "worker")?,
-                k: help::field(v, "k")?,
-            }),
-            "aggregator" => Ok(WireDistRole::Aggregator {
-                k: help::field(v, "k")?,
-            }),
-            other => Err(DeError::msg(format!(
-                "unknown distribution role '{other}' (expected distribute, \
-                 worker, or aggregator)"
-            ))),
-        }
-    }
-}
-
-impl Serialize for SliceUpdateBody {
-    fn to_value(&self) -> Value {
-        match self {
-            SliceUpdateBody::Observe {
-                p,
-                clock,
-                holds,
-                invalid,
-            } => {
-                let mut fields = vec![
-                    ("op".into(), "observe".to_value()),
-                    ("p".into(), p.to_value()),
-                    ("clock".into(), clock.to_value()),
-                ];
-                if !holds.is_empty() {
-                    fields.push(("holds".into(), holds.to_value()));
-                }
-                if let Some(msg) = invalid {
-                    fields.push(("invalid".into(), msg.to_value()));
-                }
-                Value::Object(fields)
-            }
-            SliceUpdateBody::Finish { p } => Value::Object(vec![
-                ("op".into(), "finish".to_value()),
-                ("p".into(), p.to_value()),
-            ]),
-            SliceUpdateBody::Close => Value::Object(vec![("op".into(), "close".to_value())]),
-        }
-    }
-}
-
-impl Deserialize for SliceUpdateBody {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        help::object(v)?;
-        match help::field::<String>(v, "op")?.as_str() {
-            "observe" => Ok(SliceUpdateBody::Observe {
-                p: help::field(v, "p")?,
-                clock: help::field(v, "clock")?,
-                holds: help::field_or_default(v, "holds")?,
-                invalid: help::field_opt(v, "invalid")?,
-            }),
-            "finish" => Ok(SliceUpdateBody::Finish {
-                p: help::field(v, "p")?,
-            }),
-            "close" => Ok(SliceUpdateBody::Close),
-            other => Err(DeError::msg(format!("unknown slice-update op '{other}'"))),
-        }
-    }
-}
-
-impl Serialize for ClientMsg {
-    fn to_value(&self) -> Value {
-        match self {
-            ClientMsg::Hello { version } => Value::Object(vec![
-                ("type".into(), "hello".to_value()),
-                ("version".into(), version.to_value()),
-            ]),
-            ClientMsg::Drain { backend } => Value::Object(vec![
-                ("type".into(), "drain".to_value()),
-                ("backend".into(), backend.to_value()),
-            ]),
-            ClientMsg::Open {
-                session,
-                processes,
-                vars,
-                initial,
-                predicates,
-                dist,
-            } => {
-                let mut fields = vec![
-                    ("type".into(), "open".to_value()),
-                    ("session".into(), session.to_value()),
-                    ("processes".into(), processes.to_value()),
-                    ("vars".into(), vars.to_value()),
-                    ("initial".into(), initial.to_value()),
-                    ("predicates".into(), predicates.to_value()),
-                ];
-                if let Some(role) = dist {
-                    fields.push(("dist".into(), role.to_value()));
-                }
-                Value::Object(fields)
-            }
-            ClientMsg::Event {
-                session,
-                p,
-                clock,
-                set,
-            } => {
-                let mut fields = vec![
-                    ("type".into(), "event".to_value()),
-                    ("session".into(), session.to_value()),
-                    ("p".into(), p.to_value()),
-                    ("clock".into(), clock.to_value()),
-                ];
-                if !set.is_empty() {
-                    fields.push(("set".into(), set.to_value()));
-                }
-                Value::Object(fields)
-            }
-            ClientMsg::Events { session, events } => Value::Object(vec![
-                ("type".into(), "events".to_value()),
-                ("session".into(), session.to_value()),
-                ("events".into(), events.to_value()),
-            ]),
-            ClientMsg::DistEvent {
-                session,
-                seq,
-                event,
-            } => Value::Object(vec![
-                ("type".into(), "dist-event".to_value()),
-                ("session".into(), session.to_value()),
-                ("seq".into(), seq.to_value()),
-                ("event".into(), event.to_value()),
-            ]),
-            ClientMsg::SliceUpdate {
-                session,
-                seq,
-                update,
-            } => Value::Object(vec![
-                ("type".into(), "slice-update".to_value()),
-                ("session".into(), session.to_value()),
-                ("seq".into(), seq.to_value()),
-                ("update".into(), update.to_value()),
-            ]),
-            ClientMsg::FinishProcess { session, p } => Value::Object(vec![
-                ("type".into(), "finish".to_value()),
-                ("session".into(), session.to_value()),
-                ("p".into(), p.to_value()),
-            ]),
-            ClientMsg::Close { session } => Value::Object(vec![
-                ("type".into(), "close".to_value()),
-                ("session".into(), session.to_value()),
-            ]),
-            ClientMsg::Stats => Value::Object(vec![("type".into(), "stats".to_value())]),
-            ClientMsg::Shutdown => Value::Object(vec![("type".into(), "shutdown".to_value())]),
-        }
-    }
-
+check nonempty_batch;
+serialize {
     fn write_json(&self, out: &mut String) -> bool {
         hot::encode_client(self, out)
     }
 }
-
-impl Deserialize for ClientMsg {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match help::field::<String>(v, "type")?.as_str() {
-            "hello" => Ok(ClientMsg::Hello {
-                version: help::field(v, "version")?,
-            }),
-            "drain" => Ok(ClientMsg::Drain {
-                backend: help::field(v, "backend")?,
-            }),
-            "open" => Ok(ClientMsg::Open {
-                session: help::field(v, "session")?,
-                processes: help::field(v, "processes")?,
-                vars: help::field_or_default(v, "vars")?,
-                initial: help::field_or_default(v, "initial")?,
-                predicates: help::field_or_default(v, "predicates")?,
-                dist: help::field_opt(v, "dist")?,
-            }),
-            "event" => Ok(ClientMsg::Event {
-                session: help::field(v, "session")?,
-                p: help::field(v, "p")?,
-                clock: help::field(v, "clock")?,
-                set: help::field_or_default(v, "set")?,
-            }),
-            "events" => {
-                let events: Vec<EventFrame> = help::field(v, "events")?;
-                if events.is_empty() {
-                    return Err(DeError::msg("empty event batch"));
-                }
-                Ok(ClientMsg::Events {
-                    session: help::field(v, "session")?,
-                    events,
-                })
-            }
-            "dist-event" => Ok(ClientMsg::DistEvent {
-                session: help::field(v, "session")?,
-                seq: help::field(v, "seq")?,
-                event: help::field(v, "event")?,
-            }),
-            "slice-update" => Ok(ClientMsg::SliceUpdate {
-                session: help::field(v, "session")?,
-                seq: help::field(v, "seq")?,
-                update: help::field(v, "update")?,
-            }),
-            "finish" => Ok(ClientMsg::FinishProcess {
-                session: help::field(v, "session")?,
-                p: help::field(v, "p")?,
-            }),
-            "close" => Ok(ClientMsg::Close {
-                session: help::field(v, "session")?,
-            }),
-            "stats" => Ok(ClientMsg::Stats),
-            "shutdown" => Ok(ClientMsg::Shutdown),
-            other => Err(DeError::msg(format!("unknown client message '{other}'"))),
-        }
-    }
-
+deserialize {
     fn from_json_bytes(json: &[u8]) -> Option<Self> {
         hot::decode_client::<false>(json).map(|(msg, _)| msg)
     }
+});
+
+fn nonempty_batch(msg: &ClientMsg) -> Result<(), DeError> {
+    match msg {
+        ClientMsg::Events { events, .. } if events.is_empty() => {
+            Err(DeError::msg("empty event batch"))
+        }
+        _ => Ok(()),
+    }
 }
 
-impl Serialize for ServerMsg {
-    fn to_value(&self) -> Value {
-        match self {
-            ServerMsg::Welcome { version } => Value::Object(vec![
-                ("type".into(), "welcome".to_value()),
-                ("version".into(), version.to_value()),
-            ]),
-            ServerMsg::Drained { backend, sessions } => Value::Object(vec![
-                ("type".into(), "drained".to_value()),
-                ("backend".into(), backend.to_value()),
-                ("sessions".into(), sessions.to_value()),
-            ]),
-            ServerMsg::Opened { session } => Value::Object(vec![
-                ("type".into(), "opened".to_value()),
-                ("session".into(), session.to_value()),
-            ]),
-            ServerMsg::Verdict {
-                session,
-                predicate,
-                verdict,
-            } => Value::Object(vec![
-                ("type".into(), "verdict".to_value()),
-                ("session".into(), session.to_value()),
-                ("predicate".into(), predicate.to_value()),
-                ("verdict".into(), verdict.to_value()),
-            ]),
-            ServerMsg::Closed { session, discarded } => Value::Object(vec![
-                ("type".into(), "closed".to_value()),
-                ("session".into(), session.to_value()),
-                ("discarded".into(), discarded.to_value()),
-            ]),
-            ServerMsg::SliceUpdate {
-                session,
-                seq,
-                update,
-            } => Value::Object(vec![
-                ("type".into(), "slice-update".to_value()),
-                ("session".into(), session.to_value()),
-                ("seq".into(), seq.to_value()),
-                ("update".into(), update.to_value()),
-            ]),
-            ServerMsg::Stats { counters } => Value::Object(vec![
-                ("type".into(), "stats".to_value()),
-                ("counters".into(), counters.to_value()),
-            ]),
-            ServerMsg::Error {
-                session,
-                kind,
-                message,
-            } => {
-                let mut fields = vec![("type".into(), "error".to_value())];
-                if let Some(s) = session {
-                    fields.push(("session".into(), s.to_value()));
-                }
-                if let Some(k) = kind {
-                    fields.push(("kind".into(), k.to_value()));
-                }
-                fields.push(("message".into(), message.to_value()));
-                Value::Object(fields)
-            }
-            ServerMsg::Bye => Value::Object(vec![("type".into(), "bye".to_value())]),
-        }
-    }
-
+json_tagged!(ServerMsg, "type", "unknown server message '{}'" {
+    "welcome" => Welcome { version },
+    "drained" => Drained { backend, sessions: or_default },
+    "opened" => Opened { session },
+    "verdict" => Verdict { session, predicate, verdict },
+    "closed" => Closed { session, discarded: or_default },
+    "slice-update" => SliceUpdate { session, seq, update },
+    "stats" => Stats { counters },
+    "error" => Error { session: opt, kind: opt, message },
+    "bye" => Bye,
+}
+serialize {
     fn write_json(&self, out: &mut String) -> bool {
         hot::encode_server(self, out)
     }
-}
-
-impl Deserialize for ServerMsg {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match help::field::<String>(v, "type")?.as_str() {
-            "welcome" => Ok(ServerMsg::Welcome {
-                version: help::field(v, "version")?,
-            }),
-            "drained" => Ok(ServerMsg::Drained {
-                backend: help::field(v, "backend")?,
-                sessions: help::field_or_default(v, "sessions")?,
-            }),
-            "opened" => Ok(ServerMsg::Opened {
-                session: help::field(v, "session")?,
-            }),
-            "verdict" => Ok(ServerMsg::Verdict {
-                session: help::field(v, "session")?,
-                predicate: help::field(v, "predicate")?,
-                verdict: help::field(v, "verdict")?,
-            }),
-            "closed" => Ok(ServerMsg::Closed {
-                session: help::field(v, "session")?,
-                discarded: help::field_or_default(v, "discarded")?,
-            }),
-            "slice-update" => Ok(ServerMsg::SliceUpdate {
-                session: help::field(v, "session")?,
-                seq: help::field(v, "seq")?,
-                update: help::field(v, "update")?,
-            }),
-            "stats" => Ok(ServerMsg::Stats {
-                counters: help::field(v, "counters")?,
-            }),
-            "error" => Ok(ServerMsg::Error {
-                session: help::field_opt(v, "session")?,
-                kind: help::field_opt(v, "kind")?,
-                message: help::field(v, "message")?,
-            }),
-            "bye" => Ok(ServerMsg::Bye),
-            other => Err(DeError::msg(format!("unknown server message '{other}'"))),
-        }
-    }
-}
+});
 
 // ---- framing --------------------------------------------------------------
 
